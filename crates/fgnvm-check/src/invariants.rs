@@ -10,9 +10,10 @@
 //! - **Span decomposition**: `queue + retry + bank + bus + tail == total`
 //!   summed over every completed request, per operation class.
 //! - **Attribution conservation**: the ten-bucket stall taxonomy sums
-//!   exactly to end-to-end latency for every request, agrees with the
-//!   independent span tracker in aggregate, and contains no unclassified
-//!   command kinds or structurally illegal buckets.
+//!   exactly to end-to-end latency for every request, agrees in aggregate
+//!   with the completed counts and latency totals the controller kept
+//!   independently, and contains no unclassified command kinds or
+//!   structurally illegal buckets.
 //! - **Heatmap conservation**: the S×C tile grid's per-kind totals equal
 //!   the bank counters the simulator kept independently.
 //! - **Energy conservation**: sensing/programming energy is exactly the
@@ -78,15 +79,15 @@ impl fmt::Display for InvariantReport {
 
 /// `queue + retry + bank + bus + tail == total`, exactly, per op class.
 ///
-/// The span tracker records all six histograms from the same lifecycle
+/// The span breakdown records all six histograms from the same lifecycle
 /// events, so both the counts and the cycle sums must agree; a mismatch
 /// means a lifecycle hook fired twice or a span component was dropped.
 pub fn check_span_sums(observer: &Observer) -> InvariantReport {
     let mut report = InvariantReport::default();
     report.checked.push("span-sums");
     for (class, b) in [
-        ("read", &observer.spans.reads),
-        ("write", &observer.spans.writes),
+        ("read", &observer.attribution.spans.reads),
+        ("write", &observer.attribution.spans.writes),
     ] {
         let parts = b.queue.sum() + b.retry.sum() + b.bank.sum() + b.bus.sum() + b.tail.sum();
         if parts != b.total.sum() {
@@ -116,11 +117,13 @@ pub fn check_span_sums(observer: &Observer) -> InvariantReport {
 
 /// Attribution conservation: per request, the stall-taxonomy buckets sum
 /// **exactly** to end-to-end latency, and the per-class aggregates agree
-/// with both the per-request records and the independent five-component
-/// span tracker. Also rejects unclassified command kinds and taxonomy
-/// buckets that are illegal for the run (tFAW cycles without DRAM,
-/// verify-retry cycles on reads).
-pub fn check_attribution(observer: &Observer) -> InvariantReport {
+/// with both the per-request records and the controller's independent
+/// [`SystemStats`](fgnvm_mem::SystemStats) (completed counts and latency
+/// totals). Also rejects unclassified command kinds and taxonomy buckets
+/// that are illegal for the run (tFAW cycles without DRAM, verify-retry
+/// cycles on reads). Assumes the observer was attached before the first
+/// request.
+pub fn check_attribution(observer: &Observer, stats: &fgnvm_mem::SystemStats) -> InvariantReport {
     let mut report = InvariantReport::default();
     report.checked.push("attribution-conservation");
     let attr = &observer.attribution;
@@ -154,9 +157,19 @@ pub fn check_attribution(observer: &Observer) -> InvariantReport {
             .failures
             .push(format!("attribution leak: {bad} requests total"));
     }
-    for (class, totals, spans) in [
-        ("read", &attr.reads, &observer.spans.reads),
-        ("write", &attr.writes, &observer.spans.writes),
+    for (class, totals, completed, latency) in [
+        (
+            "read",
+            &attr.reads,
+            stats.completed_reads,
+            stats.read_latency_total.raw(),
+        ),
+        (
+            "write",
+            &attr.writes,
+            stats.completed_writes,
+            stats.write_latency_total.raw(),
+        ),
     ] {
         let per_request: u64 = attr
             .requests
@@ -172,16 +185,13 @@ pub fn check_attribution(observer: &Observer) -> InvariantReport {
                 totals.total
             ));
         }
-        // Cross-check against the span tracker: both fold the same
-        // lifecycle hooks, so the end-to-end totals must agree exactly.
-        if totals.total != spans.total.sum() || totals.count != spans.total.count() {
+        // Cross-check against the controller: it counts completions and
+        // latency from its own events, not from the observer's hooks.
+        if totals.count != completed || totals.total != latency {
             report.failures.push(format!(
-                "attribution vs spans ({class}s): attribution saw {} requests / {} cycles, \
-                 span tracker saw {} / {}",
-                totals.count,
-                totals.total,
-                spans.total.count(),
-                spans.total.sum()
+                "attribution vs controller ({class}s): attribution saw {} requests / {} cycles, \
+                 the controller completed {completed} / {latency}",
+                totals.count, totals.total
             ));
         }
     }
@@ -394,7 +404,7 @@ pub fn check_timeseries_conservation(
 /// must agree tenant by tenant.
 ///
 /// The two sides tag tenants at different places — the controller from
-/// the completion [`Event`](fgnvm_types::Event), the observer from the
+/// the [`Completion`] event, the observer from the
 /// attribution record captured at enqueue — so a request billed to the
 /// wrong tenant on either path shows up as a cross-path mismatch even
 /// when every global counter still balances. Untagged traffic (wear
@@ -696,7 +706,7 @@ pub fn standard_report(
     let mut report = InvariantReport::default();
     if let Some(obs) = observer {
         report.merge(check_span_sums(obs));
-        report.merge(check_attribution(obs));
+        report.merge(check_attribution(obs, memory.stats()));
         report.merge(check_heatmap_totals(obs, &banks));
         report.merge(check_timeseries_conservation(obs, memory.stats()));
         report.merge(check_audit_conservation(obs, &banks));
@@ -753,6 +763,36 @@ mod tests {
             .record_arrival(true, 0, memory.now().raw());
         let report = check_timeseries_conservation(&obs, memory.stats());
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn attribution_is_cross_checked_against_the_controller() {
+        let (memory, obs) = run_with_telemetry();
+        let report = check_attribution(&obs, memory.stats());
+        assert_eq!(report.checked, vec!["attribution-conservation"]);
+        assert!(report.is_clean(), "{report}");
+        // The controller saw one more completed read, or one more cycle of
+        // write latency, than the attribution records: both must fire.
+        let mut stats = memory.stats().clone();
+        stats.completed_reads += 1;
+        let report = check_attribution(&obs, &stats);
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("attribution vs controller (reads)")),
+            "{report}"
+        );
+        let mut stats = memory.stats().clone();
+        stats.write_latency_total += fgnvm_types::CycleCount::new(1);
+        let report = check_attribution(&obs, &stats);
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("attribution vs controller (writes)")),
+            "{report}"
+        );
     }
 
     /// Like [`run_with_telemetry`] but spreads the traffic across three

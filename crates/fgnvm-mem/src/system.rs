@@ -151,10 +151,11 @@ impl MemorySystem {
         })
     }
 
-    /// Enables the observability layer (request lifecycle spans, the S×C
-    /// tile heatmap, and Chrome trace export), sized from the configured
-    /// bank geometry. Idempotent per run: calling it again replaces the
-    /// observer with a fresh one.
+    /// Enables the observability layer (stall attribution with its request
+    /// lifecycle spans, and the S×C tile heatmap), sized from the
+    /// configured bank geometry. Idempotent per run: calling it again
+    /// replaces the observer with a fresh one. Chrome trace export is a
+    /// separate opt-in ([`MemorySystem::enable_trace`]).
     pub fn enable_observer(&mut self) {
         let g = &self.config.geometry;
         // The attribution classifier needs the model facts: which bank
@@ -213,6 +214,17 @@ impl MemorySystem {
         let obs = self.observer.as_deref_mut().expect("observer just enabled");
         obs.enable_timeseries(window_cycles, retention);
         obs.enable_flight(flight);
+    }
+
+    /// Enables the Chrome trace-event sink on the observer, attaching an
+    /// observer first if none is enabled. Idempotent: an already-running
+    /// sink keeps its buffered events.
+    pub fn enable_trace(&mut self) {
+        if self.observer.is_none() {
+            self.enable_observer();
+        }
+        let obs = self.observer.as_deref_mut().expect("observer just enabled");
+        obs.enable_trace();
     }
 
     /// Enables the issue-audit layer (per-decision records, measured
@@ -2100,6 +2112,7 @@ mod tests {
                 .with_reliability(reliability(0.01, 0.3, 4, 64));
             let mut m = MemorySystem::new(cfg).unwrap();
             m.enable_observer();
+            m.enable_trace();
             m.enable_wear_tracking();
             m.enable_command_log(32);
             m.enable_sampling(64);
@@ -2136,8 +2149,15 @@ mod tests {
             assert_eq!(log(&reference), log(&restored));
         }
         let (obs_ref, obs_res) = (reference.observer().unwrap(), restored.observer().unwrap());
+        assert!(
+            obs_res.trace().is_some(),
+            "the trace sink rides the snapshot"
+        );
         assert_eq!(obs_ref.trace_json(), obs_res.trace_json());
-        assert_eq!(obs_ref.spans.to_json(), obs_res.spans.to_json());
+        assert_eq!(
+            obs_ref.attribution.spans_json(),
+            obs_res.attribution.spans_json()
+        );
         assert_eq!(obs_ref.heatmap.cells(), obs_res.heatmap.cells());
         assert_eq!(obs_ref.attribution.to_json(), obs_res.attribution.to_json());
         for kind in InstantKind::ALL {
@@ -2176,7 +2196,7 @@ mod tests {
         let addrs: Vec<u64> = (0..48u64).map(|i| i * 777 * 64).collect();
         let mut plain = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
         let mut observed = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
-        observed.enable_observer();
+        observed.enable_trace();
         for mem in [&mut plain, &mut observed] {
             for wave in addrs.chunks(12) {
                 for (i, &a) in wave.iter().enumerate() {
@@ -2192,9 +2212,9 @@ mod tests {
 
         let obs = observed.observer().expect("observer enabled");
         // Every request got a span and every span closed.
-        assert_eq!(obs.spans.open_count(), 0);
+        assert_eq!(obs.attribution.open_count(), 0);
         assert_eq!(
-            obs.spans.completed,
+            obs.attribution.spans.completed,
             observed.stats().completed_reads + observed.stats().completed_writes
         );
         // The heatmap saw every committed command and matches the grid.
@@ -2208,9 +2228,9 @@ mod tests {
             .sum();
         assert_eq!(heat_total, bank.reads + bank.writes);
         // One trace slice per committed command; a valid Chrome JSON header.
-        let trace = obs.trace.to_json();
+        let trace = obs.trace_json();
         assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert_eq!(obs.trace.dropped(), 0);
+        assert_eq!(obs.trace().map(|t| t.dropped()), Some(0));
         assert_eq!(
             trace.matches("\"cat\":\"cmd\"").count() as u64,
             bank.reads + bank.writes

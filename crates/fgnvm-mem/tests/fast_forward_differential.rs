@@ -122,7 +122,7 @@ fn drive(config: &SystemConfig, reqs: &[Gen], fast_forward: bool) -> Snapshot {
     mem.set_fast_forward(fast_forward);
     mem.enable_command_log(1 << 20);
     mem.enable_sampling(64);
-    mem.enable_observer();
+    mem.enable_trace();
     let mut completions = Vec::new();
     for g in reqs {
         let op = if g.is_write { Op::Write } else { Op::Read };

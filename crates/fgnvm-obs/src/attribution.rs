@@ -19,8 +19,10 @@
 //! The decomposition is a *partition* of `[arrival, completion)` — buckets
 //! sum **exactly** to the end-to-end latency, by construction, for every
 //! request. `fgnvm-check` enforces this as a conservation invariant and
-//! cross-checks the totals against the independent five-component span
-//! tracker.
+//! cross-checks the totals against the controller's independent latency
+//! counters. The same open record carries the issue marks the
+//! five-component [`Spans`] breakdown is folded from, so a request costs
+//! one map entry.
 //!
 //! Attribution is computed purely from the lifecycle hooks
 //! (`on_enqueued` / `on_command` / `on_completed`), which fire identically
@@ -33,6 +35,7 @@
 use std::collections::HashMap;
 
 use crate::json::number;
+use crate::span::{IssueMarks, Spans};
 use crate::{CommandIssue, InstantKind};
 
 /// Number of taxonomy buckets.
@@ -287,6 +290,8 @@ struct OpenReq {
     cycles: [u64; BUCKETS],
     issues: u32,
     last_retries: u32,
+    /// Issue marks for the five-component span breakdown.
+    marks: IssueMarks,
 }
 
 /// The attribution tracker: hooks in, exact per-request decompositions out.
@@ -304,6 +309,8 @@ pub struct Attribution {
     pub writes: ClassTotals,
     /// Per-request records, in completion order.
     pub requests: Vec<RequestAttribution>,
+    /// Five-component span breakdowns, folded from the same open records.
+    pub spans: Spans,
     /// Commands whose plan-kind label the taxonomy did not recognize.
     /// Non-zero fails the `fgnvm-check` attribution invariant.
     pub unclassified: u64,
@@ -313,6 +320,9 @@ pub struct Attribution {
     /// length. Consumed by the flight recorder within the same hook;
     /// never serialized — no checkpoint can land inside one hook.
     last_wait: Option<(StallCause, u64)>,
+    /// Reused event buffer of the wait classifier's sweep; never
+    /// serialized.
+    events: Vec<(u64, i8)>,
 }
 
 impl Default for AttributionParams {
@@ -347,6 +357,7 @@ impl Attribution {
                 cycles: [0; BUCKETS],
                 issues: 0,
                 last_retries: 0,
+                marks: IssueMarks::default(),
             },
         );
     }
@@ -368,12 +379,30 @@ impl Attribution {
                 StallCause::Service
             }
         };
-        if let Some(mut r) = self.open.remove(&cmd.id) {
+        let activation = cmd.kind == "activate" || cmd.kind == "underfetch";
+        let windows = self.windows.entry((cmd.channel, cmd.bank)).or_default();
+        debug_assert!(
+            windows.last().is_none_or(|w| w.at <= cmd.at),
+            "per-bank command windows must stay in issue order"
+        );
+        if let Some(r) = self.open.get_mut(&cmd.id) {
             let w0 = r.mark;
             let at = cmd.at.max(w0);
             let before = r.cycles;
             if r.issues == 0 {
-                self.classify_wait(&mut r, cmd, rank, w0, at);
+                let acts = match self.params.t_faw {
+                    Some(_) if activation => self.acts.get(&(cmd.channel, rank)),
+                    _ => None,
+                };
+                classify_wait(
+                    &self.params,
+                    windows,
+                    acts.map_or(&[], Vec::as_slice),
+                    cmd,
+                    (w0, at),
+                    &mut self.events,
+                    &mut r.cycles,
+                );
             } else {
                 // Re-issue after verify-budget exhaustion: the whole bounce
                 // (residual programming + requeue wait) is retry extension.
@@ -406,22 +435,27 @@ impl Attribution {
             r.cycles[StallCause::GlobalIo as usize] += data_start - e;
             r.cycles[StallCause::Service as usize] += data_end - data_start;
             r.mark = data_end;
+            // The span breakdown keeps the raw, unclamped marks.
+            self.spans.on_issue(
+                &mut r.marks,
+                r.issues == 0,
+                cmd.at,
+                cmd.data_start,
+                cmd.data_end,
+            );
             r.issues += 1;
             r.last_retries = cmd.retries;
-            self.open.insert(cmd.id, r);
         }
         // Record this command's occupancy window for later waiters.
-        let end = cmd.completion.max(cmd.data_end);
-        let list = self.windows.entry((cmd.channel, cmd.bank)).or_default();
-        list.push(Window {
+        windows.push(Window {
             at: cmd.at,
-            end,
+            end: cmd.completion.max(cmd.data_end),
             is_write: !cmd.is_read,
             sag: cmd.sag,
             cd_first: cmd.cd,
             cd_count: cmd.cd_count.max(1),
         });
-        if self.params.t_faw.is_some() && (cmd.kind == "activate" || cmd.kind == "underfetch") {
+        if self.params.t_faw.is_some() && activation {
             self.acts
                 .entry((cmd.channel, rank))
                 .or_default()
@@ -459,6 +493,12 @@ impl Attribution {
             completion: now.max(r.arrival),
             cycles: r.cycles,
         };
+        self.spans.record(
+            r.is_read,
+            r.arrival,
+            (r.issues > 0).then_some(&r.marks),
+            now,
+        );
         if r.is_read {
             self.reads.fold(&record);
         } else {
@@ -470,6 +510,21 @@ impl Attribution {
     /// Requests currently in flight.
     pub fn open_count(&self) -> usize {
         self.open.len()
+    }
+
+    /// The span document: span counters, the requests still in flight, and
+    /// both latency breakdowns.
+    pub fn spans_json(&self) -> String {
+        let s = &self.spans;
+        format!(
+            "{{\"completed\":{},\"never_issued\":{},\"reissues\":{},\"open\":{},\"read\":{},\"write\":{}}}",
+            s.completed,
+            s.never_issued,
+            s.reissues,
+            self.open.len(),
+            s.reads.to_json(),
+            s.writes.to_json()
+        )
     }
 
     /// Takes the most recent command's dominant pre-issue wait, if the
@@ -500,6 +555,10 @@ impl Attribution {
             }
             w.u32(r.issues);
             w.u32(r.last_retries);
+            w.u64(r.marks.first);
+            w.u64(r.marks.last);
+            w.u64(r.marks.data_start);
+            w.u64(r.marks.data_end);
         }
         let mut keys: Vec<(u32, u32)> = self.windows.keys().copied().collect();
         keys.sort_unstable();
@@ -552,6 +611,7 @@ impl Attribution {
             }
         }
         w.u64(self.unclassified);
+        self.spans.save_state(w);
     }
 
     /// Restore a tracker written by [`Attribution::save_state`] into this
@@ -580,6 +640,12 @@ impl Attribution {
             }
             let issues = r.u32()?;
             let last_retries = r.u32()?;
+            let marks = IssueMarks {
+                first: r.u64()?,
+                last: r.u64()?,
+                data_start: r.u64()?,
+                data_end: r.u64()?,
+            };
             self.open.insert(
                 id,
                 OpenReq {
@@ -590,6 +656,7 @@ impl Attribution {
                     cycles,
                     issues,
                     last_retries,
+                    marks,
                 },
             );
         }
@@ -654,91 +721,8 @@ impl Attribution {
             });
         }
         self.unclassified = r.u64()?;
+        self.spans.load_state(r)?;
         Ok(())
-    }
-
-    /// Partitions the pre-issue wait `[w0, w1)` among blocking causes.
-    ///
-    /// Causes are resolved per elementary segment with a fixed priority
-    /// (write-block > SAG > CD > tFAW > queue): when several resources
-    /// overlapped, the cycles go to the structurally strongest blocker, and
-    /// whatever no modeled resource covers is queueing.
-    fn classify_wait(
-        &mut self,
-        r: &mut OpenReq,
-        cmd: &CommandIssue<'_>,
-        rank: u32,
-        w0: u64,
-        w1: u64,
-    ) {
-        if w1 <= w0 {
-            return;
-        }
-        let p = self.params;
-        let empty: Vec<Window> = Vec::new();
-        let windows = self.windows.get(&(cmd.channel, cmd.bank)).unwrap_or(&empty);
-        let target_cd = (cmd.cd, cmd.cd_count.max(1));
-        // tFAW gate intervals: with four activations inside a rolling
-        // window, a fifth must wait until the oldest ages out.
-        let mut faw_gates: Vec<(u64, u64)> = Vec::new();
-        if let Some(t_faw) = p.t_faw {
-            if cmd.kind == "activate" || cmd.kind == "underfetch" {
-                if let Some(acts) = self.acts.get(&(cmd.channel, rank)) {
-                    for quad in acts.windows(4) {
-                        let open = quad[0] + t_faw;
-                        if open > quad[3] {
-                            faw_gates.push((quad[3], open));
-                        }
-                    }
-                }
-            }
-        }
-        // Elementary segment boundaries: every window/gate edge inside.
-        let mut cuts: Vec<u64> = vec![w0, w1];
-        for w in windows {
-            for b in [w.at, w.end] {
-                if b > w0 && b < w1 {
-                    cuts.push(b);
-                }
-            }
-        }
-        for (s, e) in &faw_gates {
-            for b in [*s, *e] {
-                if b > w0 && b < w1 {
-                    cuts.push(b);
-                }
-            }
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        for seg in cuts.windows(2) {
-            let (s, e) = (seg[0], seg[1]);
-            let len = e - s;
-            let mut cause = StallCause::QueueWait;
-            if faw_gates.iter().any(|(gs, ge)| *gs < e && s < *ge) {
-                cause = StallCause::TfawWindow;
-            }
-            for w in windows {
-                if w.at >= e || w.end <= s {
-                    continue;
-                }
-                let tile_hit = p.serialized
-                    || w.sag == cmd.sag
-                    || cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd);
-                if w.is_write && (tile_hit || p.write_blocks_bank) {
-                    cause = StallCause::WriteBlock;
-                    break; // strongest cause; nothing can override it
-                }
-                if p.serialized || w.sag == cmd.sag {
-                    cause = StallCause::SagConflict;
-                } else if cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd)
-                    && cause != StallCause::SagConflict
-                {
-                    cause = StallCause::CdConflict;
-                }
-            }
-            r.cycles[cause as usize] += len;
-        }
     }
 
     /// Drops history that can no longer affect any in-flight request: a
@@ -792,6 +776,176 @@ impl Attribution {
 
 fn cd_overlap(full_row: bool, a: (u32, u32), b: (u32, u32)) -> bool {
     full_row || (a.0 < b.0 + b.1 && b.0 < a.0 + a.1)
+}
+
+/// Blocking classes of the wait classifier, lowest priority first: a cycle
+/// covered by several blockers goes to the highest live class, and a cycle
+/// no blocker covers is queueing.
+const CLASSES: [StallCause; 4] = [
+    StallCause::TfawWindow,
+    StallCause::CdConflict,
+    StallCause::SagConflict,
+    StallCause::WriteBlock,
+];
+
+/// The class (index into [`CLASSES`]) a past command's window imposes on
+/// `cmd`, or `None` when it holds nothing `cmd` needs.
+fn window_class(p: &AttributionParams, w: &Window, cmd: &CommandIssue<'_>) -> Option<i8> {
+    let sag_hit = p.serialized || w.sag == cmd.sag;
+    let cd_hit = cd_overlap(
+        p.full_row_sense,
+        (w.cd_first, w.cd_count),
+        (cmd.cd, cmd.cd_count.max(1)),
+    );
+    if w.is_write && (sag_hit || cd_hit || p.write_blocks_bank) {
+        Some(3)
+    } else if sag_hit {
+        Some(2)
+    } else if cd_hit {
+        Some(1)
+    } else {
+        None
+    }
+}
+
+/// Partitions the pre-issue wait `[w0, w1)` among blocking causes, adding
+/// the cycles to `cycles`.
+///
+/// Every blocker — a past command's occupancy window on the bank, or a
+/// tFAW gate (with four activations inside a rolling window, a fifth must
+/// wait until the oldest ages out) — maps to one class of [`CLASSES`]
+/// (write-block > SAG > CD > tFAW). One sweep over the blockers' clamped
+/// edges, sorted in the reused `events` buffer, gives each stretch of the
+/// wait to its highest live class. `windows` is in issue order, so the
+/// ones issued at or after `w1` are cut off by binary search, and the
+/// ones that ended by `w0` are skipped before they are classified.
+fn classify_wait(
+    p: &AttributionParams,
+    windows: &[Window],
+    acts: &[u64],
+    cmd: &CommandIssue<'_>,
+    (w0, w1): (u64, u64),
+    events: &mut Vec<(u64, i8)>,
+    cycles: &mut [u64; BUCKETS],
+) {
+    if w1 <= w0 {
+        return;
+    }
+    // Event `(t, +k)` opens class `k - 1` at `t`; `(t, -k)` closes it.
+    events.clear();
+    let mut span = |start: u64, end: u64, class: i8| {
+        let (s, e) = (start.max(w0), end.min(w1));
+        if s < e {
+            events.push((s, class + 1));
+            events.push((e, -(class + 1)));
+        }
+    };
+    if let Some(t_faw) = p.t_faw {
+        for quad in acts.windows(4) {
+            span(quad[3], quad[0] + t_faw, 0);
+        }
+    }
+    let issued = windows.partition_point(|w| w.at < w1);
+    for w in windows[..issued].iter().filter(|w| w.end > w0) {
+        if let Some(class) = window_class(p, w, cmd) {
+            span(w.at, w.end, class);
+        }
+    }
+    events.sort_unstable_by_key(|e| e.0);
+    let mut live = [0u32; CLASSES.len()];
+    let mut from = w0;
+    for &(t, edge) in events.iter() {
+        if t > from {
+            cycles[live_cause(&live) as usize] += t - from;
+            from = t;
+        }
+        let k = usize::from(edge.unsigned_abs()) - 1;
+        if edge > 0 {
+            live[k] += 1;
+        } else {
+            live[k] -= 1;
+        }
+    }
+    cycles[live_cause(&live) as usize] += w1 - from;
+}
+
+/// The highest class with a live blocker, or queueing when none is live.
+fn live_cause(live: &[u32; CLASSES.len()]) -> StallCause {
+    (0..CLASSES.len())
+        .rev()
+        .find(|&k| live[k] > 0)
+        .map_or(StallCause::QueueWait, |k| CLASSES[k])
+}
+
+/// The segment-scan classifier [`classify_wait`] replaced: cut the wait at
+/// every blocker edge, then rescan every blocker per segment. Kept as the
+/// reference the sweep is property-tested against.
+#[cfg(test)]
+fn classify_wait_reference(
+    p: &AttributionParams,
+    windows: &[Window],
+    acts: &[u64],
+    cmd: &CommandIssue<'_>,
+    (w0, w1): (u64, u64),
+    cycles: &mut [u64; BUCKETS],
+) {
+    if w1 <= w0 {
+        return;
+    }
+    let target_cd = (cmd.cd, cmd.cd_count.max(1));
+    let mut faw_gates: Vec<(u64, u64)> = Vec::new();
+    if let Some(t_faw) = p.t_faw {
+        for quad in acts.windows(4) {
+            let open = quad[0] + t_faw;
+            if open > quad[3] {
+                faw_gates.push((quad[3], open));
+            }
+        }
+    }
+    let mut cuts: Vec<u64> = vec![w0, w1];
+    for w in windows {
+        for b in [w.at, w.end] {
+            if b > w0 && b < w1 {
+                cuts.push(b);
+            }
+        }
+    }
+    for (s, e) in &faw_gates {
+        for b in [*s, *e] {
+            if b > w0 && b < w1 {
+                cuts.push(b);
+            }
+        }
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+    for seg in cuts.windows(2) {
+        let (s, e) = (seg[0], seg[1]);
+        let mut cause = StallCause::QueueWait;
+        if faw_gates.iter().any(|(gs, ge)| *gs < e && s < *ge) {
+            cause = StallCause::TfawWindow;
+        }
+        for w in windows {
+            if w.at >= e || w.end <= s {
+                continue;
+            }
+            let tile_hit = p.serialized
+                || w.sag == cmd.sag
+                || cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd);
+            if w.is_write && (tile_hit || p.write_blocks_bank) {
+                cause = StallCause::WriteBlock;
+                break;
+            }
+            if p.serialized || w.sag == cmd.sag {
+                cause = StallCause::SagConflict;
+            } else if cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd)
+                && cause != StallCause::SagConflict
+            {
+                cause = StallCause::CdConflict;
+            }
+        }
+        cycles[cause as usize] += e - s;
+    }
 }
 
 /// One what-if scenario: which buckets a structural change relieves, and
@@ -1052,6 +1206,103 @@ mod tests {
         a.on_command(&cmd(2, 60)); // 40 SAG-conflict + 10 queue cycles
         assert_eq!(a.take_last_wait(), Some((StallCause::SagConflict, 50)));
         assert_eq!(a.take_last_wait(), None); // consumed
+    }
+
+    #[test]
+    fn spans_fold_from_the_attribution_record() {
+        let mut a = Attribution::new(AttributionParams::bare(4, 4));
+        a.on_enqueued(7, false, 0, 0);
+        let mut w = cmd(7, 10);
+        w.is_read = false;
+        w.kind = "write";
+        w.data_start = 15;
+        w.data_end = 20;
+        a.on_command(&w);
+        w.at = 50; // re-issued after a verify failure
+        w.data_start = 55;
+        w.data_end = 60;
+        a.on_command(&w);
+        assert_eq!(a.spans.reissues, 1);
+        a.on_completed(7, 80);
+        let s = &a.spans.writes;
+        assert_eq!(
+            [
+                s.queue.sum(),
+                s.retry.sum(),
+                s.bank.sum(),
+                s.bus.sum(),
+                s.tail.sum()
+            ],
+            [10, 40, 5, 5, 20]
+        );
+        assert_eq!(s.total.sum(), a.writes.total);
+        assert_eq!((a.spans.completed, a.open_count()), (1, 0));
+    }
+
+    /// A random blocker set for one wait: issue-ordered windows on the
+    /// bank, a rank's activation history, the waiting command, and the
+    /// structural flags.
+    type WaitCase = (
+        Vec<(u64, u64, bool, u32, u32, u32)>,
+        Vec<u64>,
+        (u32, u32, u32),
+        (bool, bool, bool),
+        (u64, u64),
+        u64,
+    );
+
+    fn wait_case() -> impl Strategy<Value = WaitCase> {
+        (
+            prop::collection::vec(
+                (0u64..12, 0u64..50, any::<bool>(), 0u32..3, 0u32..3, 1u32..3),
+                0..14,
+            ),
+            prop::collection::vec(0u64..12, 0..9),
+            (0u32..3, 0u32..3, 1u32..3),
+            (any::<bool>(), any::<bool>(), any::<bool>()),
+            (0u64..120, 0u64..120),
+            0u64..40,
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The sweep gives exactly the segment scan's per-bucket cycles.
+        #[test]
+        fn sweep_matches_the_segment_scan(case in wait_case()) {
+            let (raw, gaps, (sag, cd, cd_count), (serialized, full_row, wbb), (a, b), t_faw) = case;
+            let mut p = AttributionParams::bare(4, 4);
+            p.serialized = serialized;
+            p.full_row_sense = full_row;
+            p.write_blocks_bank = wbb;
+            p.t_faw = (t_faw > 0).then_some(t_faw);
+            // Issue-ordered windows: `at` is a running sum of gaps.
+            let mut at = 0;
+            let windows: Vec<Window> = raw
+                .iter()
+                .map(|&(gap, len, is_write, sag, cd_first, cd_count)| {
+                    at += gap;
+                    Window { at, end: at + len, is_write, sag, cd_first, cd_count }
+                })
+                .collect();
+            let mut t = 0;
+            let acts: Vec<u64> = gaps.iter().map(|g| { t += g; t }).collect();
+            let mut c = cmd(1, 0);
+            c.sag = sag;
+            c.cd = cd;
+            c.cd_count = cd_count;
+            let span = (a.min(b), a.max(b));
+            let mut want = [0; BUCKETS];
+            classify_wait_reference(&p, &windows, &acts, &c, span, &mut want);
+            let mut got = [0; BUCKETS];
+            let mut events = Vec::new();
+            classify_wait(&p, &windows, &acts, &c, span, &mut events, &mut got);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got.iter().sum::<u64>(), span.1 - span.0);
+        }
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! This crate is the observability backbone threaded through the stack:
 //!
-//! - [`span::SpanTracker`] — per-request lifecycle spans decomposed into
-//!   exact queue/retry/bank/bus/tail latency components (reads and writes);
+//! - [`attribution::Attribution`] — the one per-request record: an exact
+//!   stall-cycle decomposition, plus the [`span::Spans`] latency breakdown
+//!   into queue/retry/bank/bus/tail components (reads and writes);
 //! - [`heatmap::TileHeatmap`] — the S×C (SAG × column-division) conflict
 //!   and occupancy grid that makes the paper's rook-placement model
 //!   visible;
-//! - [`trace::TraceSink`] — Chrome trace-event JSON export, loadable in
-//!   `ui.perfetto.dev` (one process per channel, one thread per bank, one
-//!   slice per command);
+//! - [`trace::TraceSink`] — opt-in Chrome trace-event JSON export, loadable
+//!   in `ui.perfetto.dev` (one process per channel, one thread per bank,
+//!   one slice per command);
 //! - [`registry::Registry`] — an insertion-ordered counter/gauge registry
 //!   every component exports into, serialized as JSON/CSV;
 //! - [`table::TableData`] and [`json`] — the single table/JSON emission
@@ -19,7 +20,9 @@
 //! (the default) no hook does any work, keeping the hot path unchanged;
 //! when enabled, hooks fire only from cycle-stepped execution paths, never
 //! from event skips, so fast-forwarded runs produce bit-identical
-//! observability output by construction.
+//! observability output by construction. Attribution and the heatmap are
+//! always on; every other sink (Perfetto trace, telemetry, flight
+//! recorder, audit) costs nothing until its `enable_*` call.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -46,7 +49,7 @@ pub use flight::{FlightEvent, FlightRecorder};
 pub use heatmap::{TileCell, TileHeatmap};
 pub use hist::Log2Hist;
 pub use registry::{CounterHandle, GaugeHandle, MetricValue, Registry};
-pub use span::{LatencyBreakdown, SpanTracker};
+pub use span::{LatencyBreakdown, Spans};
 pub use table::TableData;
 pub use timeseries::{TenantWindow, TimeSeries, WindowAgg};
 pub use trace::TraceSink;
@@ -145,22 +148,22 @@ impl InstantKind {
     }
 }
 
-/// The per-run observer: spans + heatmap + trace sink behind one facade.
+/// The per-run observer: attribution + heatmap + opt-in sinks behind one
+/// facade.
 ///
 /// The simulator calls the `on_*` hooks from its cycle-stepped paths; all
 /// aggregation happens here so enabling observability changes no simulated
 /// state.
 #[derive(Debug)]
 pub struct Observer {
-    /// Request lifecycle spans and latency breakdowns.
-    pub spans: SpanTracker,
     /// S×C tile conflict/occupancy grid.
     pub heatmap: TileHeatmap,
-    /// Chrome trace-event sink.
-    pub trace: TraceSink,
-    /// Exact per-request stall-cycle attribution.
+    /// Exact per-request stall-cycle attribution and span breakdowns.
     pub attribution: Attribution,
     instants: [u64; 8],
+    /// Chrome trace-event sink; `None` until [`Observer::enable_trace`] —
+    /// without it no hook formats a string.
+    trace: Option<TraceSink>,
     /// Windowed time-series engine; `None` until
     /// [`Observer::enable_timeseries`] — the hooks stay allocation-free.
     timeseries: Option<TimeSeries>,
@@ -184,15 +187,28 @@ impl Observer {
     /// (access modes, tFAW, timing carve-outs).
     pub fn with_params(params: AttributionParams) -> Self {
         Observer {
-            spans: SpanTracker::new(),
             heatmap: TileHeatmap::new(params.sags.max(1), params.cds.max(1)),
-            trace: TraceSink::default(),
             attribution: Attribution::new(params),
             instants: [0; 8],
+            trace: None,
             timeseries: None,
             flight: None,
             audit: None,
         }
+    }
+
+    /// Attaches the Chrome trace-event sink. Idempotent: an already
+    /// attached sink (including one restored from a checkpoint) keeps its
+    /// buffered events.
+    pub fn enable_trace(&mut self) {
+        if self.trace.is_none() {
+            self.trace = Some(TraceSink::default());
+        }
+    }
+
+    /// The Chrome trace-event sink, when enabled.
+    pub fn trace(&self) -> Option<&TraceSink> {
+        self.trace.as_ref()
     }
 
     /// Attaches a windowed time-series engine (replacing any existing one)
@@ -268,7 +284,6 @@ impl Observer {
     /// Hook: a request entered the system, tagged as `tenant`'s traffic
     /// (0 for untagged).
     pub fn on_enqueued(&mut self, id: u64, is_read: bool, tenant: u16, now: u64) {
-        self.spans.on_enqueued(id, is_read, now);
         self.attribution.on_enqueued(id, is_read, tenant, now);
         if let Some(ts) = &mut self.timeseries {
             ts.record_arrival(is_read, tenant, now);
@@ -277,7 +292,6 @@ impl Observer {
 
     /// Hook: a request completed (or was satisfied without issuing).
     pub fn on_completed(&mut self, id: u64, now: u64) {
-        self.spans.on_completed(id, now);
         let before = self.attribution.requests.len();
         self.attribution.on_completed(id, now);
         if let Some(ts) = &mut self.timeseries {
@@ -299,8 +313,6 @@ impl Observer {
 
     /// Hook: a command issued to a bank.
     pub fn on_command(&mut self, cmd: &CommandIssue<'_>) {
-        self.spans
-            .on_issued(cmd.id, cmd.at, cmd.data_start, cmd.data_end);
         self.attribution.on_command(cmd);
         let wait = self.attribution.take_last_wait();
         if let Some(ts) = &mut self.timeseries {
@@ -321,33 +333,32 @@ impl Observer {
             cmd.data_end,
             cmd.completion,
         );
-        let end = if cmd.is_read {
-            cmd.data_end
-        } else {
-            cmd.completion
-        };
-        let args = [
-            format!("\"id\":{}", cmd.id),
-            format!("\"row\":{}", cmd.row),
-            format!("\"sag\":{}", cmd.sag),
-            format!("\"cd\":{}", cmd.cd),
-            format!("\"retries\":{}", cmd.retries),
-        ];
-        self.trace.slice(
-            cmd.channel,
-            cmd.bank,
-            cmd.kind,
-            cmd.at,
-            end.saturating_sub(cmd.at),
-            &args,
-        );
+        if let Some(trace) = &mut self.trace {
+            let end = if cmd.is_read {
+                cmd.data_end
+            } else {
+                cmd.completion
+            };
+            trace.slice(
+                cmd.channel,
+                cmd.bank,
+                cmd.kind,
+                cmd.at,
+                end.saturating_sub(cmd.at),
+                format_args!(
+                    "\"id\":{},\"row\":{},\"sag\":{},\"cd\":{},\"retries\":{}",
+                    cmd.id, cmd.row, cmd.sag, cmd.cd, cmd.retries
+                ),
+            );
+        }
     }
 
     /// Hook: one scheduler decision record, fired by the controller at
     /// the command-commit point when auditing is enabled. Folds into the
     /// audit log, the current telemetry window's opportunity stats, and
-    /// the Perfetto decision track (an instant naming the dominant
-    /// blocking gate, or `decision:clear` when nothing was rejected).
+    /// the Perfetto decision track when the trace sink is enabled (an
+    /// instant naming the dominant blocking gate, or `decision:clear` when
+    /// nothing was rejected).
     pub fn on_audit(&mut self, rec: &IssueAudit<'_>) {
         let Some(audit) = &mut self.audit else {
             return;
@@ -356,6 +367,9 @@ impl Observer {
         if let Some(ts) = &mut self.timeseries {
             ts.record_opportunity(u64::from(rec.co_issuable), rec.at);
         }
+        let Some(trace) = &mut self.trace else {
+            return;
+        };
         let name = match AuditLog::dominant_gate(rec) {
             Some(BlockGate::BankBusy) => "decision:bank-busy",
             Some(BlockGate::SagBusy) => "decision:sag-busy",
@@ -364,13 +378,15 @@ impl Observer {
             Some(BlockGate::RowLocked) => "decision:row-locked",
             None => "decision:clear",
         };
-        self.trace.instant(rec.channel, rec.bank, name, rec.at);
+        trace.instant(rec.channel, rec.bank, name, rec.at);
     }
 
     /// Hook: a discrete event (fault, remap, watchdog) at `now`.
     pub fn on_instant(&mut self, kind: InstantKind, channel: u32, bank: u32, now: u64) {
         self.instants[kind as usize] += 1;
-        self.trace.instant(channel, bank, kind.label(), now);
+        if let Some(trace) = &mut self.trace {
+            trace.instant(channel, bank, kind.label(), now);
+        }
         if let Some(ts) = &mut self.timeseries {
             ts.record_instant(kind, now);
         }
@@ -393,18 +409,21 @@ impl Observer {
 
     /// Exports the observer's own aggregates into a metric registry.
     pub fn export_metrics(&self, reg: &mut Registry) {
-        reg.set_counter("obs.spans.completed", self.spans.completed);
-        reg.set_counter("obs.spans.never_issued", self.spans.never_issued);
-        reg.set_counter("obs.spans.reissues", self.spans.reissues);
-        reg.set_counter("obs.spans.open", self.spans.open_count() as u64);
+        let spans = &self.attribution.spans;
+        reg.set_counter("obs.spans.completed", spans.completed);
+        reg.set_counter("obs.spans.never_issued", spans.never_issued);
+        reg.set_counter("obs.spans.reissues", spans.reissues);
+        reg.set_counter("obs.spans.open", self.attribution.open_count() as u64);
         reg.set_counter("obs.heatmap.conflicts", self.heatmap.total_conflicts());
         reg.set_counter(
             "obs.heatmap.conflict_cycles",
             self.heatmap.total_conflict_cycles(),
         );
         reg.set_gauge("obs.heatmap.conflict_rate", self.heatmap.conflict_rate());
-        reg.set_counter("obs.trace.events", self.trace.len() as u64);
-        reg.set_counter("obs.trace.dropped", self.trace.dropped());
+        if let Some(trace) = &self.trace {
+            reg.set_counter("obs.trace.events", trace.len() as u64);
+            reg.set_counter("obs.trace.dropped", trace.dropped());
+        }
         reg.set_counter("obs.attr.unclassified", self.attribution.unclassified);
         for cause in StallCause::ALL {
             reg.set_counter(
@@ -449,16 +468,19 @@ impl Observer {
         }
     }
 
-    /// Serialize the observer's full aggregation state (spans, heatmap,
-    /// trace buffer, attribution, instant counters) into a checkpoint.
+    /// Serialize the observer's full aggregation state (instant counters,
+    /// heatmap, attribution with its span breakdowns, and each enabled
+    /// sink behind a presence flag) into a checkpoint.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("observer");
         for count in &self.instants {
             w.u64(*count);
         }
-        self.spans.save_state(w);
         self.heatmap.save_state(w);
-        self.trace.save_state(w);
+        w.bool(self.trace.is_some());
+        if let Some(trace) = &self.trace {
+            trace.save_state(w);
+        }
         self.attribution.save_state(w);
         w.bool(self.timeseries.is_some());
         if let Some(ts) = &self.timeseries {
@@ -489,12 +511,17 @@ impl Observer {
         for count in &mut self.instants {
             *count = r.u64()?;
         }
-        self.spans.load_state(r)?;
         self.heatmap.load_state(r)?;
-        self.trace.load_state(r)?;
-        self.attribution.load_state(r)?;
-        // Telemetry sections carry their own configuration, so a restored
+        // Sink sections carry their own configuration, so a restored
         // observer needs no caller input to rebuild them.
+        self.trace = if r.bool()? {
+            let mut trace = TraceSink::default();
+            trace.load_state(r)?;
+            Some(trace)
+        } else {
+            None
+        };
+        self.attribution.load_state(r)?;
         self.timeseries = if r.bool()? {
             Some(TimeSeries::load_state(r)?)
         } else {
@@ -519,15 +546,19 @@ impl Observer {
         format!(
             "{{\"counters\":{},\"spans\":{},\"heatmap\":{},\"attribution\":{}}}",
             reg.to_json(),
-            self.spans.to_json(),
+            self.attribution.spans_json(),
             self.heatmap.to_json(),
             self.attribution.to_json()
         )
     }
 
-    /// The Chrome trace-event JSON document.
+    /// The Chrome trace-event JSON document; an empty one (no events)
+    /// when the trace sink is off.
     pub fn trace_json(&self) -> String {
-        self.trace.to_json()
+        match &self.trace {
+            Some(trace) => trace.to_json(),
+            None => TraceSink::default().to_json(),
+        }
     }
 }
 
@@ -559,11 +590,12 @@ mod tests {
     #[test]
     fn facade_routes_to_all_sinks() {
         let mut obs = Observer::new(4, 4);
+        obs.enable_trace();
         obs.on_enqueued(1, true, 0, 5);
         obs.on_command(&issue(1, 10));
         obs.on_completed(1, 48);
         obs.on_instant(InstantKind::Remap, 0, 0, 50);
-        assert_eq!(obs.spans.completed, 1);
+        assert_eq!(obs.attribution.spans.completed, 1);
         assert_eq!(obs.heatmap.cell(0, 0).activations, 1);
         assert_eq!(obs.instant_count(InstantKind::Remap), 1);
         let trace = obs.trace_json();
@@ -575,6 +607,67 @@ mod tests {
         assert!(metrics.contains("\"obs.spans.completed\":1"));
         assert!(metrics.contains("\"heatmap\":{\"sags\":4,\"cds\":4"));
         assert!(metrics.contains("\"read\":{\"queue\":"));
+    }
+
+    #[test]
+    fn trace_sink_is_pay_per_use() {
+        let run = |trace: bool| {
+            let mut obs = Observer::new(4, 4);
+            if trace {
+                obs.enable_trace();
+            }
+            obs.on_enqueued(1, true, 0, 5);
+            obs.on_command(&issue(1, 10));
+            obs.on_completed(1, 48);
+            obs.on_instant(InstantKind::Remap, 0, 0, 50);
+            let mut reg = Registry::new();
+            obs.export_metrics(&mut reg);
+            let mut w = fgnvm_types::SnapshotWriter::new();
+            obs.save_state(&mut w);
+            (obs, reg.to_json(), w.finish())
+        };
+        let has_trace_section = |bytes: &[u8]| bytes.windows(5).any(|w| w == b"trace");
+
+        let (off, metrics, bytes) = run(false);
+        assert!(off.trace().is_none());
+        assert_eq!(
+            off.trace_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
+        assert!(!metrics.contains("obs.trace."), "{metrics}");
+        assert!(!has_trace_section(&bytes));
+        // The other aggregates still ran.
+        assert_eq!(off.attribution.spans.completed, 1);
+        assert_eq!(off.instant_count(InstantKind::Remap), 1);
+
+        let (on, metrics, bytes) = run(true);
+        // 2 track-name records + 1 slice + 1 instant.
+        assert_eq!(on.trace().map(TraceSink::len), Some(4));
+        assert!(metrics.contains("\"obs.trace.events\":4"), "{metrics}");
+        assert!(has_trace_section(&bytes));
+        let mut restored = Observer::new(4, 4);
+        let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+        restored.load_state(&mut r).expect("decodes");
+        assert_eq!(restored.trace_json(), on.trace_json());
+    }
+
+    #[test]
+    fn slices_render_byte_identically() {
+        let mut obs = Observer::new(4, 4);
+        obs.enable_trace();
+        let mut cmd = issue(7, 100);
+        cmd.is_read = false;
+        cmd.kind = "write";
+        cmd.completion = 400;
+        cmd.row = 3;
+        cmd.sag = 2;
+        cmd.cd = 1;
+        cmd.retries = 2;
+        obs.on_command(&cmd);
+        assert!(obs.trace_json().contains(
+            "{\"name\":\"write\",\"cat\":\"cmd\",\"ph\":\"X\",\"ts\":100,\"dur\":300,\
+             \"pid\":0,\"tid\":0,\"args\":{\"id\":7,\"row\":3,\"sag\":2,\"cd\":1,\"retries\":2}}"
+        ));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! `queue + retry + bank + bus + tail == total` for every request. Requests
 //! that never reach the array (store-to-load forwarded reads, coalesced
 //! writes) complete with their whole — usually zero — latency in `queue`.
-
-use std::collections::HashMap;
+//!
+//! The per-request marks ride the [`Attribution`](crate::Attribution)
+//! tracker's open record, which already sees every lifecycle hook; this
+//! module only folds finished lifecycles.
 
 use crate::hist::Log2Hist;
 
@@ -51,22 +53,25 @@ impl LatencyBreakdown {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct OpenSpan {
-    arrival: u64,
-    is_read: bool,
-    first_issue: u64,
-    last_issue: u64,
-    data_start: u64,
-    data_end: u64,
-    issues: u32,
+/// One request's command-issue marks. The attribution tracker keeps them
+/// in its open record, so a request costs one map entry, not one per sink.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct IssueMarks {
+    /// Cycle of the first command issue.
+    pub(crate) first: u64,
+    /// Cycle of the latest command issue.
+    pub(crate) last: u64,
+    /// First burst cycle of the latest issue.
+    pub(crate) data_start: u64,
+    /// One past the last burst cycle of the latest issue.
+    pub(crate) data_end: u64,
 }
 
-/// Tracks in-flight request spans and folds completed ones into
-/// read/write [`LatencyBreakdown`]s.
+/// Read/write [`LatencyBreakdown`]s over completed requests. Holds no
+/// per-request state: the attribution tracker passes each request's issue
+/// marks in.
 #[derive(Debug, Clone, Default)]
-pub struct SpanTracker {
-    open: HashMap<u64, OpenSpan>,
+pub struct Spans {
     /// Breakdown over completed reads.
     pub reads: LatencyBreakdown,
     /// Breakdown over completed writes.
@@ -80,108 +85,73 @@ pub struct SpanTracker {
     pub reissues: u64,
 }
 
-impl SpanTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        SpanTracker::default()
-    }
-
-    /// A request entered the system at cycle `now`.
-    pub fn on_enqueued(&mut self, id: u64, is_read: bool, now: u64) {
-        self.open.insert(
-            id,
-            OpenSpan {
-                arrival: now,
-                is_read,
-                first_issue: 0,
-                last_issue: 0,
-                data_start: 0,
-                data_end: 0,
-                issues: 0,
-            },
-        );
-    }
-
-    /// A command for request `id` issued at `at`, bursting over
-    /// `data_start..data_end`.
-    pub fn on_issued(&mut self, id: u64, at: u64, data_start: u64, data_end: u64) {
-        if let Some(span) = self.open.get_mut(&id) {
-            if span.issues == 0 {
-                span.first_issue = at;
-            } else {
-                self.reissues += 1;
-            }
-            span.issues += 1;
-            span.last_issue = at;
-            span.data_start = data_start;
-            span.data_end = data_end;
+impl Spans {
+    /// Notes a command issued at `at`, bursting over
+    /// `data_start..data_end`, in a request's `marks`; `first` says whether
+    /// it is the request's first issue.
+    pub(crate) fn on_issue(
+        &mut self,
+        marks: &mut IssueMarks,
+        first: bool,
+        at: u64,
+        data_start: u64,
+        data_end: u64,
+    ) {
+        if first {
+            marks.first = at;
+        } else {
+            self.reissues += 1;
         }
+        marks.last = at;
+        marks.data_start = data_start;
+        marks.data_end = data_end;
     }
 
-    /// Request `id` completed at `now`; decomposes and records its span.
-    pub fn on_completed(&mut self, id: u64, now: u64) {
-        let Some(span) = self.open.remove(&id) else {
-            return;
-        };
+    /// Decomposes and records a request that arrived at `arrival` and
+    /// completed at `now`; `marks` is `None` when it never issued.
+    pub(crate) fn record(
+        &mut self,
+        is_read: bool,
+        arrival: u64,
+        marks: Option<&IssueMarks>,
+        now: u64,
+    ) {
         self.completed += 1;
-        let total = now.saturating_sub(span.arrival);
-        let breakdown = if span.is_read {
+        let total = now.saturating_sub(arrival);
+        let breakdown = if is_read {
             &mut self.reads
         } else {
             &mut self.writes
         };
-        if span.issues == 0 {
-            // Never reached the array: the whole lifetime is queueing.
-            self.never_issued += 1;
-            breakdown.queue.record(total);
-            breakdown.retry.record(0);
-            breakdown.bank.record(0);
-            breakdown.bus.record(0);
-            breakdown.tail.record(0);
-        } else {
-            breakdown
-                .queue
-                .record(span.first_issue.saturating_sub(span.arrival));
-            breakdown
-                .retry
-                .record(span.last_issue.saturating_sub(span.first_issue));
-            breakdown
-                .bank
-                .record(span.data_start.saturating_sub(span.last_issue));
-            breakdown
-                .bus
-                .record(span.data_end.saturating_sub(span.data_start));
-            breakdown.tail.record(now.saturating_sub(span.data_end));
+        match marks {
+            None => {
+                // Never reached the array: the whole lifetime is queueing.
+                self.never_issued += 1;
+                breakdown.queue.record(total);
+                breakdown.retry.record(0);
+                breakdown.bank.record(0);
+                breakdown.bus.record(0);
+                breakdown.tail.record(0);
+            }
+            Some(m) => {
+                breakdown.queue.record(m.first.saturating_sub(arrival));
+                breakdown.retry.record(m.last.saturating_sub(m.first));
+                breakdown.bank.record(m.data_start.saturating_sub(m.last));
+                breakdown
+                    .bus
+                    .record(m.data_end.saturating_sub(m.data_start));
+                breakdown.tail.record(now.saturating_sub(m.data_end));
+            }
         }
         breakdown.total.record(total);
     }
 
-    /// Requests currently in flight.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Serialize open spans (sorted by id) and both breakdowns into a
-    /// checkpoint.
+    /// Serialize the counters and both breakdowns into a checkpoint.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("spans");
         w.u64(self.completed);
         w.u64(self.never_issued);
         w.u64(self.reissues);
-        let mut ids: Vec<u64> = self.open.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let s = &self.open[&id];
-            w.u64(id);
-            w.u64(s.arrival);
-            w.bool(s.is_read);
-            w.u64(s.first_issue);
-            w.u64(s.last_issue);
-            w.u64(s.data_start);
-            w.u64(s.data_end);
-            w.u32(s.issues);
-        }
         for breakdown in [&self.reads, &self.writes] {
             breakdown.queue.save_state(w);
             breakdown.retry.save_state(w);
@@ -192,8 +162,8 @@ impl SpanTracker {
         }
     }
 
-    /// Restore a tracker written by [`SpanTracker::save_state`] into this
-    /// one, replacing its current contents.
+    /// Restore state written by [`Spans::save_state`] into this value,
+    /// replacing its current contents.
     ///
     /// # Errors
     ///
@@ -207,21 +177,6 @@ impl SpanTracker {
         self.completed = r.u64()?;
         self.never_issued = r.u64()?;
         self.reissues = r.u64()?;
-        let n = r.usize()?;
-        self.open = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            let span = OpenSpan {
-                arrival: r.u64()?,
-                is_read: r.bool()?,
-                first_issue: r.u64()?,
-                last_issue: r.u64()?,
-                data_start: r.u64()?,
-                data_end: r.u64()?,
-                issues: r.u32()?,
-            };
-            self.open.insert(id, span);
-        }
         for breakdown in [&mut self.reads, &mut self.writes] {
             breakdown.queue = Log2Hist::load_state(r)?;
             breakdown.retry = Log2Hist::load_state(r)?;
@@ -232,31 +187,30 @@ impl SpanTracker {
         }
         Ok(())
     }
-
-    /// Serializes both breakdowns plus span counters as JSON.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"completed\":{},\"never_issued\":{},\"reissues\":{},\"open\":{},\"read\":{},\"write\":{}}}",
-            self.completed,
-            self.never_issued,
-            self.reissues,
-            self.open.len(),
-            self.reads.to_json(),
-            self.writes.to_json()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Replays one request's issues through `on_issue` and records it.
+    fn span(t: &mut Spans, is_read: bool, arrival: u64, issues: &[(u64, u64, u64)], now: u64) {
+        let mut marks = IssueMarks::default();
+        for (i, &(at, start, end)) in issues.iter().enumerate() {
+            t.on_issue(&mut marks, i == 0, at, start, end);
+        }
+        t.record(
+            is_read,
+            arrival,
+            (!issues.is_empty()).then_some(&marks),
+            now,
+        );
+    }
+
     #[test]
     fn components_sum_to_total() {
-        let mut t = SpanTracker::new();
-        t.on_enqueued(1, true, 100);
-        t.on_issued(1, 130, 160, 168);
-        t.on_completed(1, 172);
+        let mut t = Spans::default();
+        span(&mut t, true, 100, &[(130, 160, 168)], 172);
         let r = &t.reads;
         assert_eq!(r.queue.sum(), 30);
         assert_eq!(r.retry.sum(), 0);
@@ -272,11 +226,9 @@ mod tests {
 
     #[test]
     fn reissue_lands_in_retry() {
-        let mut t = SpanTracker::new();
-        t.on_enqueued(7, false, 0);
-        t.on_issued(7, 10, 15, 20);
-        t.on_issued(7, 50, 55, 60); // re-issued after verify failure
-        t.on_completed(7, 80);
+        let mut t = Spans::default();
+        // Re-issued after a verify failure.
+        span(&mut t, false, 0, &[(10, 15, 20), (50, 55, 60)], 80);
         assert_eq!(t.reissues, 1);
         let w = &t.writes;
         assert_eq!(w.queue.sum(), 10);
@@ -289,9 +241,8 @@ mod tests {
 
     #[test]
     fn forwarded_request_is_pure_queueing() {
-        let mut t = SpanTracker::new();
-        t.on_enqueued(3, true, 42);
-        t.on_completed(3, 42); // store-to-load forwarded, same cycle
+        let mut t = Spans::default();
+        span(&mut t, true, 42, &[], 42); // store-to-load forwarded, same cycle
         assert_eq!(t.never_issued, 1);
         assert_eq!(t.reads.queue.count(), 1);
         assert_eq!(t.reads.queue.sum(), 0);
@@ -300,10 +251,29 @@ mod tests {
 
     #[test]
     fn unknown_completion_is_ignored() {
-        let mut t = SpanTracker::new();
-        t.on_completed(99, 10);
-        t.on_issued(99, 5, 6, 7);
-        assert_eq!(t.completed, 0);
-        assert_eq!(t.open_count(), 0);
+        // Spans fold from the attribution tracker's open records, so hooks
+        // for an id that never arrived record nothing.
+        let mut a = crate::Attribution::new(crate::AttributionParams::bare(1, 1));
+        a.on_completed(99, 10);
+        a.on_command(&crate::CommandIssue {
+            channel: 0,
+            bank: 0,
+            id: 99,
+            is_read: true,
+            kind: "activate",
+            arrival: 0,
+            at: 5,
+            earliest_data: 6,
+            data_start: 6,
+            data_end: 7,
+            completion: 7,
+            row: 0,
+            sag: 0,
+            cd: 0,
+            cd_count: 1,
+            retries: 0,
+        });
+        assert_eq!((a.spans.completed, a.spans.reissues), (0, 0));
+        assert_eq!(a.open_count(), 0);
     }
 }

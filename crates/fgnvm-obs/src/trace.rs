@@ -8,9 +8,12 @@
 //!
 //! Events are pre-rendered to JSON strings at record time and stored in a
 //! bounded buffer; once the cap is reached further events are counted in
-//! `dropped` instead of growing memory without bound.
+//! `dropped` instead of growing memory without bound. The sink is opt-in
+//! ([`Observer::enable_trace`](crate::Observer::enable_trace)): without it
+//! no hook formats anything.
 
 use std::collections::HashSet;
+use std::fmt;
 
 use crate::json;
 
@@ -45,9 +48,11 @@ impl TraceSink {
         }
     }
 
-    fn push(&mut self, event: String) {
+    /// Renders `event` into the buffer, or only counts it once the buffer
+    /// is full (a dropped event is never formatted).
+    fn push(&mut self, event: fmt::Arguments<'_>) {
         if self.events.len() < self.cap {
-            self.events.push(event);
+            self.events.push(event.to_string());
         } else {
             self.dropped += 1;
         }
@@ -57,13 +62,13 @@ impl TraceSink {
     /// appears (deterministic: ordered by first use, not by hash).
     fn ensure_track(&mut self, channel: u32, bank: u32) {
         if self.named_procs.insert(channel) {
-            self.push(format!(
+            self.push(format_args!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{channel},\"tid\":0,\
                  \"args\":{{\"name\":\"channel {channel}\"}}}}"
             ));
         }
         if self.named_tracks.insert((channel, bank)) {
-            self.push(format!(
+            self.push(format_args!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{channel},\"tid\":{bank},\
                  \"args\":{{\"name\":\"bank {bank}\"}}}}"
             ));
@@ -71,8 +76,8 @@ impl TraceSink {
     }
 
     /// Records a complete slice: a command occupying `[ts, ts + dur)` on
-    /// bank `(channel, bank)`. `args` are pre-formed JSON object fields
-    /// (e.g. `"\"row\":3"`), joined verbatim.
+    /// bank `(channel, bank)`. `args` renders the JSON object's fields
+    /// (e.g. `format_args!("\"row\":{row}")`) straight into the event.
     pub fn slice(
         &mut self,
         channel: u32,
@@ -80,22 +85,21 @@ impl TraceSink {
         name: &str,
         ts: u64,
         dur: u64,
-        args: &[String],
+        args: fmt::Arguments<'_>,
     ) {
         self.ensure_track(channel, bank);
         let dur = dur.max(1); // zero-width slices vanish in viewers
-        self.push(format!(
+        self.push(format_args!(
             "{{\"name\":{},\"cat\":\"cmd\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-             \"pid\":{channel},\"tid\":{bank},\"args\":{{{}}}}}",
-            json::quote(name),
-            args.join(",")
+             \"pid\":{channel},\"tid\":{bank},\"args\":{{{args}}}}}",
+            json::quote(name)
         ));
     }
 
     /// Records a thread-scoped instant event (fault, remap, watchdog).
     pub fn instant(&mut self, channel: u32, bank: u32, name: &str, ts: u64) {
         self.ensure_track(channel, bank);
-        self.push(format!(
+        self.push(format_args!(
             "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
              \"pid\":{channel},\"tid\":{bank}}}",
             json::quote(name)
@@ -191,8 +195,8 @@ mod tests {
     #[test]
     fn slices_carry_track_metadata_once() {
         let mut sink = TraceSink::default();
-        sink.slice(0, 2, "activate", 100, 50, &["\"row\":7".into()]);
-        sink.slice(0, 2, "row-hit", 200, 10, &[]);
+        sink.slice(0, 2, "activate", 100, 50, format_args!("\"row\":{}", 7));
+        sink.slice(0, 2, "row-hit", 200, 10, format_args!(""));
         // 2 metadata + 2 slices.
         assert_eq!(sink.len(), 4);
         let json = sink.to_json();
@@ -208,7 +212,7 @@ mod tests {
     #[test]
     fn zero_duration_slices_widen_to_one() {
         let mut sink = TraceSink::default();
-        sink.slice(0, 0, "x", 5, 0, &[]);
+        sink.slice(0, 0, "x", 5, 0, format_args!(""));
         assert!(sink.to_json().contains("\"dur\":1"));
     }
 
@@ -225,8 +229,8 @@ mod tests {
     #[test]
     fn cap_drops_instead_of_growing() {
         let mut sink = TraceSink::with_capacity(3);
-        sink.slice(0, 0, "a", 0, 1, &[]); // +2 metadata, fills cap
-        sink.slice(0, 0, "b", 1, 1, &[]);
+        sink.slice(0, 0, "a", 0, 1, format_args!("")); // +2 metadata, fills cap
+        sink.slice(0, 0, "b", 1, 1, format_args!(""));
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.dropped(), 1);
     }

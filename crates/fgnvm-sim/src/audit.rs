@@ -126,7 +126,12 @@ pub fn audit(
     row(
         "solo decisions",
         audit.solo_decisions.to_string(),
-        "decisions with no legal co-issue available",
+        "decisions with an otherwise-empty queue",
+    );
+    row(
+        "no-co-issue decisions",
+        audit.parallelism_hist[0].to_string(),
+        "decisions with no legal co-issue available (parallelism bin +0)",
     );
     row(
         "candidates considered",
@@ -189,7 +194,11 @@ mod tests {
     fn audit_reports_the_three_ceilings_side_by_side() {
         let out = audit(&SystemConfig::fgnvm(8, 2).unwrap(), "fgnvm-8x2", &quick()).unwrap();
         assert!(out.issues > 0);
-        assert!(out.invariant_failures.is_empty(), "{:?}", out.invariant_failures);
+        assert!(
+            out.invariant_failures.is_empty(),
+            "{:?}",
+            out.invariant_failures
+        );
         let rendered = out.summary.render();
         assert!(rendered.contains("realized issue rate"));
         assert!(rendered.contains("measured opportunity ceiling"));
@@ -204,13 +213,42 @@ mod tests {
     }
 
     #[test]
+    fn solo_and_no_co_issue_rows_are_distinct() {
+        // The default `fgnvm-repro audit` run.
+        let params = ExperimentParams::full();
+        let out = audit(&SystemConfig::fgnvm(8, 2).unwrap(), "fgnvm-8x2", &params).unwrap();
+        let rendered = out.summary.render();
+        let value = |metric: &str| -> u64 {
+            let line = rendered
+                .lines()
+                .find(|l| l.trim_start().starts_with(metric))
+                .unwrap_or_else(|| panic!("no `{metric}` row in\n{rendered}"));
+            line.trim_start()[metric.len()..]
+                .split_whitespace()
+                .next()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("`{metric}` row has no count: {line}"))
+        };
+        // 58 decisions had nothing else queued, while 2,065 had company
+        // but none of it could legally co-issue.
+        assert_eq!(value("solo decisions"), 58);
+        assert_eq!(value("no-co-issue decisions"), 2_065);
+        assert!(rendered.contains("decisions with an otherwise-empty queue"));
+        assert!(rendered.contains("(parallelism bin +0)"));
+    }
+
+    #[test]
     fn audit_runs_on_the_baseline_too() {
         // One (SAG, CD) tile per bank: within-bank co-issue is impossible,
         // but ready commands on *other* banks still register as headroom,
         // so the ceiling is >= 1.0 and the invariant must still hold.
         let out = audit(&SystemConfig::baseline(), "baseline", &quick()).unwrap();
         assert!(out.issues > 0);
-        assert!(out.invariant_failures.is_empty(), "{:?}", out.invariant_failures);
+        assert!(
+            out.invariant_failures.is_empty(),
+            "{:?}",
+            out.invariant_failures
+        );
         assert!(out.audit_json.contains("\"measured_opportunity_ceiling\":"));
         let missed_grid = out
             .audit_ascii

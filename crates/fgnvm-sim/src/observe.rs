@@ -70,6 +70,7 @@ pub fn observe(
     let mut memory = MemorySystem::new(*config)?;
     memory.set_fast_forward(params.fast_forward);
     memory.enable_observer();
+    memory.enable_trace();
     memory.enable_telemetry(
         OBSERVE_WINDOW_CYCLES,
         OBSERVE_RETENTION,
@@ -151,16 +152,18 @@ fn summary_table(memory: &MemorySystem, result: &fgnvm_cpu::CoreResult, obs: &Ob
             stats.write_latency_percentile(0.99)
         ),
     );
-    row("spans completed", obs.spans.completed.to_string());
-    row("spans never issued", obs.spans.never_issued.to_string());
+    let spans = &obs.attribution.spans;
+    row("spans completed", spans.completed.to_string());
+    row("spans never issued", spans.never_issued.to_string());
     row("tile conflicts", obs.heatmap.total_conflicts().to_string());
     row(
         "tile conflict cycles",
         obs.heatmap.total_conflict_cycles().to_string(),
     );
     row("conflict rate", fmt_ratio(obs.heatmap.conflict_rate()));
-    row("trace events", obs.trace.len().to_string());
-    row("trace events dropped", obs.trace.dropped().to_string());
+    let trace = obs.trace().expect("observe enables the trace sink");
+    row("trace events", trace.len().to_string());
+    row("trace events dropped", trace.dropped().to_string());
     if let Some(audit) = obs.audit() {
         row("issue decisions audited", audit.issues.to_string());
         row(

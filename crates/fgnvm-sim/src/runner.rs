@@ -283,19 +283,15 @@ where
                 scope.spawn(move || {
                     IN_SWEEP.with(|flag| flag.set(true));
                     let mut done = Vec::new();
+                    let lock = |w: usize| queues[w].lock().expect("sweep queue poisoned");
                     loop {
-                        let claimed = queues[me]
-                            .lock()
-                            .expect("sweep queue poisoned")
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|d| {
-                                    queues[(me + d) % workers]
-                                        .lock()
-                                        .expect("sweep queue poisoned")
-                                        .pop_back()
-                                })
-                            });
+                        // Own pop in its own statement: the guard must be
+                        // released before locking a victim, or two thieves
+                        // each holding their own deque wait on each other.
+                        let own = lock(me).pop_front();
+                        let claimed = own.or_else(|| {
+                            (1..workers).find_map(|d| lock((me + d) % workers).pop_back())
+                        });
                         // Queues only drain after the deal, so empty-everywhere
                         // is stable: nothing left to claim means done.
                         let Some(i) = claimed else { break };
@@ -391,6 +387,17 @@ mod tests {
     use fgnvm_types::geometry::Geometry;
     use fgnvm_workloads::profile;
 
+    /// Serializes the tests that change the process-wide [`JOBS`] cap. The
+    /// harness runs tests in parallel, so without it one test's `set_jobs`
+    /// could land between another's `set_jobs` and the sweep it sets up.
+    static JOBS_CAP: Mutex<()> = Mutex::new(());
+
+    fn hold_jobs_cap() -> std::sync::MutexGuard<'static, ()> {
+        JOBS_CAP
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn run_one_produces_consistent_outcome() {
         let trace = profile("sphinx3_like")
@@ -466,6 +473,7 @@ mod tests {
 
     #[test]
     fn jobs_cap_preserves_results_and_order() {
+        let _cap = hold_jobs_cap();
         let trace = profile("milc_like")
             .unwrap()
             .generate(Geometry::default(), 5, 200);
@@ -486,6 +494,7 @@ mod tests {
 
     #[test]
     fn run_jobs_preserves_order_under_stealing() {
+        let _cap = hold_jobs_cap();
         // 40 jobs with wildly uneven durations on 4 workers: the cheap
         // jobs' workers go idle and must steal to finish — results still
         // come back slot-for-slot in input order.
@@ -503,7 +512,31 @@ mod tests {
     }
 
     #[test]
+    fn tiny_stealing_pools_never_deadlock() {
+        let _cap = hold_jobs_cap();
+        // Thousands of pools whose trivial jobs finish at once, so every
+        // worker goes stealing at the same moment: a worker that still held
+        // its own deque while locking a victim's would wait forever on a
+        // thief doing the same. A watchdog turns a hang into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            set_jobs(2);
+            for round in 0..3_000u32 {
+                let items: Vec<u32> = (0..2 + round % 5).collect();
+                let out = run_jobs(&items, |_, &v| v + 1);
+                assert_eq!(out, items.iter().map(|v| v + 1).collect::<Vec<_>>());
+            }
+            set_jobs(0);
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_jobs deadlocked: a stress round never finished");
+    }
+
+    #[test]
     fn nested_sweeps_run_inline_without_spawning() {
+        let _cap = hold_jobs_cap();
         // A job that itself calls run_jobs must not multiply the pool;
         // the nested sweep runs inline on the worker and still returns
         // correct, ordered results.
@@ -523,6 +556,7 @@ mod tests {
 
     #[test]
     fn jobs_zero_sentinel_never_means_zero_workers() {
+        let _cap = hold_jobs_cap();
         set_jobs(0);
         assert!(effective_jobs() >= 1, "0 is a sentinel, not a cap");
         // An empty job list and a single job both work at any cap.
@@ -533,6 +567,7 @@ mod tests {
 
     #[test]
     fn run_grid_matches_per_trace_run_configs() {
+        let _cap = hold_jobs_cap();
         let params = ExperimentParams::quick();
         let geometry = Geometry::default();
         let traces: Vec<Trace> = ["milc_like", "mcf_like"]

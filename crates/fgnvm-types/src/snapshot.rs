@@ -41,7 +41,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FGNVMCK1";
 /// v4: issue audit — the observer section gained an optional scheduler
 /// decision-audit log and telemetry windows gained the per-window
 /// co-issue opportunity counter.
-pub const SNAPSHOT_VERSION: u32 = 4;
+///
+/// v5: pay-per-sink observer — the Perfetto trace buffer sits behind a
+/// presence flag (absent unless the sink was enabled), and the span
+/// breakdown lost its own open-request table: each open attribution record
+/// carries the issue marks instead, and the span counters and histograms
+/// follow the attribution section.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded.
 ///

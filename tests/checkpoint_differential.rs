@@ -68,6 +68,9 @@ fn run_digest(config: SystemConfig, fast_forward: bool, mut kill_cycle: Option<u
     let mut mem = MemorySystem::new(config).expect("config admissible");
     mem.set_fast_forward(fast_forward);
     mem.enable_observer();
+    // The Perfetto buffer is opt-in; enable it so the digest also proves
+    // the trace sink survives kill/resume.
+    mem.enable_trace();
     // Small telemetry windows and a tiny flight ring, so the digest also
     // covers the time-series engine (boundary rolls, retention eviction)
     // and flight-recorder state across the crash.
