@@ -11,8 +11,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fgnvm_bank::{
-    AccessPlan, Bank, BankStats, BaselineBank, BlockReason, DramBank, FaultModel, FgnvmBank,
-    Modes, OccupancySnapshot, PlanKind, RefreshCycles,
+    AccessPlan, Bank, BankStats, BaselineBank, BlockReason, DramBank, FaultModel, FgnvmBank, Modes,
+    OccupancySnapshot, PlanKind, RefreshCycles,
 };
 use fgnvm_obs::audit::GATES;
 use fgnvm_obs::{BlockGate, CommandIssue, InstantKind, IssueAudit, Observer};
@@ -778,10 +778,7 @@ impl Controller {
         } else {
             &self.reads
         };
-        let chosen = chosen_queue
-            .iter()
-            .nth(index)
-            .expect("picked index exists");
+        let chosen = chosen_queue.iter().nth(index).expect("picked index exists");
         let mut probe = AuditProbe {
             considered: 0,
             blocked: [0; GATES],

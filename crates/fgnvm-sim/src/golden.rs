@@ -1,10 +1,10 @@
-//! Golden-snapshot harness for the paper artifacts.
+//! Golden-snapshot harness for the study tables.
 //!
-//! The headline outputs — Table 1, Table 2, and the CSV forms of Fig. 4
-//! and Fig. 5 — are pinned byte-for-byte under `tests/goldens/`. The
-//! experiments are deterministic (fixed seeds, fixed parameters), so any
-//! diff is a behavior change: either a bug, or an intentional model change
-//! that must be *blessed* explicitly:
+//! Every study table — the paper's Tables 1–2 and Figures 4–5 and every
+//! extension study — is pinned byte-for-byte in CSV form under
+//! `tests/goldens/`. The studies are deterministic (fixed seeds, fixed
+//! parameters), so any diff is a behavior change: either a bug, or an
+//! intentional model change that must be *blessed* explicitly:
 //!
 //! ```text
 //! FGNVM_BLESS=1 cargo test -p fgnvm-sim --test golden_snapshots
@@ -19,8 +19,39 @@ use std::path::PathBuf;
 use crate::experiment;
 use crate::runner::ExperimentParams;
 
-/// Snapshot names, in check order. Each maps to `tests/goldens/<name>.csv`.
-pub const SNAPSHOTS: [&str; 4] = ["table1", "table2", "fig4", "fig5"];
+/// Snapshot names, in check order. Each maps to `tests/goldens/<name>.csv`:
+/// every study command, plus `reliability-horizon` for `reliability
+/// --horizon`.
+pub const SNAPSHOTS: [&str; 28] = [
+    "table1",
+    "table2",
+    "fig4",
+    "fig5",
+    "ablation",
+    "sweep",
+    "summary",
+    "dims",
+    "sched",
+    "maps",
+    "tech",
+    "pause",
+    "scaling",
+    "mlc",
+    "mix",
+    "coloring",
+    "timeline",
+    "writes",
+    "depth",
+    "detail",
+    "tail",
+    "wear",
+    "policy",
+    "mlp",
+    "cores",
+    "hybrid",
+    "reliability",
+    "reliability-horizon",
+];
 
 /// The directory holding the checked-in goldens.
 pub fn golden_dir() -> PathBuf {
@@ -42,20 +73,43 @@ pub fn golden_params() -> ExperimentParams {
 ///
 /// Returns a description for unknown names or failing experiments.
 pub fn snapshot(name: &str) -> Result<String, String> {
-    let params = golden_params();
-    match name {
-        "table1" => Ok(experiment::table1().to_csv()),
-        "table2" => Ok(experiment::table2().to_csv()),
-        "fig4" => Ok(experiment::fig4(&params)
+    use crate::extensions as ext;
+    let p = &golden_params();
+    let fail = |e: fgnvm_types::ConfigError| e.to_string();
+    let table = match name {
+        "table1" => experiment::table1(),
+        "table2" => experiment::table2(),
+        "fig4" => experiment::fig4(p).map_err(fail)?.to_table(),
+        "fig5" => experiment::fig5(p).map_err(fail)?.to_table(),
+        "ablation" => experiment::ablation(p).map_err(fail)?.to_table(),
+        "sweep" => experiment::sweep(p).map_err(fail)?.to_table(),
+        "summary" => experiment::summary(p).map_err(fail)?.to_table(),
+        "dims" => ext::dimensions(p).map_err(fail)?.to_table(),
+        "sched" => ext::schedulers(p).map_err(fail)?.to_table(),
+        "maps" => ext::mappings(p).map_err(fail)?.to_table(),
+        "tech" => ext::technology(p).map_err(fail)?.to_table(),
+        "pause" => ext::pausing(p).map_err(fail)?.to_table(),
+        "scaling" => ext::scaling(p).map_err(fail)?.to_table(),
+        "mlc" => ext::cells(p).map_err(fail)?.to_table(),
+        "mix" => ext::multiprogrammed(p).map_err(fail)?.to_table(),
+        "coloring" => ext::coloring(p).map_err(fail)?.to_table(),
+        "timeline" => ext::timeline(p).map_err(fail)?.to_table(),
+        "writes" => ext::write_sweep(p).map_err(fail)?.to_table(),
+        "depth" => ext::depth_sweep(p).map_err(fail)?.to_table(),
+        "detail" => ext::detail(p).map_err(fail)?.to_table(),
+        "tail" => ext::tail_latency(p).map_err(fail)?.to_table(),
+        "wear" => ext::wear(p).map_err(fail)?.to_table(),
+        "policy" => ext::page_policy(p).map_err(fail)?.to_table(),
+        "mlp" => ext::mlp(p).map_err(fail)?.to_table(),
+        "cores" => ext::cores(p).map_err(fail)?.to_table(),
+        "hybrid" => ext::hybrid(p).map_err(fail)?.to_table(),
+        "reliability" => ext::reliability(p).map_err(|e| e.to_string())?.to_table(),
+        "reliability-horizon" => ext::reliability_horizon(p)
             .map_err(|e| e.to_string())?
-            .to_table()
-            .to_csv()),
-        "fig5" => Ok(experiment::fig5(&params)
-            .map_err(|e| e.to_string())?
-            .to_table()
-            .to_csv()),
-        other => Err(format!("unknown snapshot {other:?}")),
-    }
+            .to_table(),
+        other => return Err(format!("unknown snapshot {other:?}")),
+    };
+    Ok(table.to_csv())
 }
 
 /// Compares `actual` against the checked-in golden for `name`; with
