@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use fgnvm_bank::{Access, Bank, FgnvmBank, Modes};
-use fgnvm_sim::experiment;
+use fgnvm_bench::regenerate;
 use fgnvm_sim::runner::ExperimentParams;
 use fgnvm_types::address::TileCoord;
 use fgnvm_types::geometry::Geometry;
@@ -25,11 +25,9 @@ fn bench(c: &mut Criterion) {
         ops: 2000,
         ..ExperimentParams::full()
     };
-    let ablation = experiment::ablation(&params).expect("ablation runs");
-    println!("{}", ablation.to_table().render());
+    println!("{}", regenerate("ablation", &params).render());
     // And the subdivision sweep, which shares this bench target.
-    let sweep = experiment::sweep(&params).expect("sweep runs");
-    println!("{}", sweep.to_table().render());
+    println!("{}", regenerate("sweep", &params).render());
 
     // Benchmark the plan/commit kernel under each mode set.
     let geom = Geometry::builder().sags(8).cds(8).build().unwrap();

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use fgnvm_sim::experiment;
+use fgnvm_bench::regenerate;
 use fgnvm_sim::runner::{run_one, ExperimentParams};
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::geometry::Geometry;
@@ -21,8 +21,7 @@ fn bench(c: &mut Criterion) {
         ops: 2500,
         ..ExperimentParams::full()
     };
-    let fig4 = experiment::fig4(&params).expect("figure 4 runs");
-    println!("{}", fig4.to_table().render());
+    println!("{}", regenerate("fig4", &params).render());
 
     // Benchmark the per-bar kernel.
     let bench_params = ExperimentParams {

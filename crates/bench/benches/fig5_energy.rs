@@ -8,8 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use fgnvm_bench::regenerate;
 use fgnvm_mem::{EnergyModel, MemorySystem};
-use fgnvm_sim::experiment;
 use fgnvm_sim::runner::ExperimentParams;
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::request::Op;
@@ -22,8 +22,7 @@ fn bench(c: &mut Criterion) {
         ops: 2500,
         ..ExperimentParams::full()
     };
-    let fig5 = experiment::fig5(&params).expect("figure 5 runs");
-    println!("{}", fig5.to_table().render());
+    println!("{}", regenerate("fig5", &params).render());
 
     // Benchmark energy accounting on a live memory system.
     let mut group = c.benchmark_group("fig5_kernel");

@@ -8,12 +8,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use fgnvm_bench::regenerate;
 use fgnvm_model::area::AreaModel;
-use fgnvm_sim::experiment;
+use fgnvm_sim::runner::ExperimentParams;
 
 fn bench(c: &mut Criterion) {
     // Print the regenerated artifact once.
-    println!("{}", experiment::table1().render());
+    println!(
+        "{}",
+        regenerate("table1", &ExperimentParams::quick()).render()
+    );
 
     let model = AreaModel::paper_calibrated();
     let mut group = c.benchmark_group("table1_area");

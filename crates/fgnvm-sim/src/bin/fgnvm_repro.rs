@@ -1,36 +1,12 @@
 //! Command-line entry point regenerating the paper's tables and figures.
 //!
 //! ```text
-//! fgnvm-repro <command> [--ops N] [--seed S] [--csv|--md]
+//! fgnvm-repro <command> [--ops N] [--seed S] [--csv|--md|--json]
 //!
 //! commands:
-//!   table1    area overheads (Table 1)
-//!   table2    memory system setup (Table 2)
-//!   fig4      relative IPC: FgNVM / 128 banks / Multi-Issue (Figure 4)
-//!   fig5      relative energy: 8x2 / 8x8 / 8x32 / Perfect (Figure 5)
-//!   ablation  per-access-mode contribution study
-//!   sweep     SAG x CD sensitivity sweep
-//!   summary   headline numbers vs the paper's §6 claims
-//!   dims      1D (SALP-like) vs 2D subdivision at equal unit count
-//!   sched     scheduler study (FCFS / FRFCFS / TLP-augmented)
-//!   maps      address-mapping sensitivity
-//!   tech      PCM baseline vs FgNVM vs DDR3-like DRAM
-//!   pause     write-pausing study on write-heavy workloads
-//!   scaling   channel-scaling study
-//!   mlc       SLC vs MLC PCM cell study
-//!   mix       multiprogrammed consolidation pressure
-//!   coloring  OS page-placement (identity / scattered / SAG-striped)
-//!   timeline  per-epoch power/bandwidth time series
-//!   writes    Backgrounded-Writes headroom vs write intensity
-//!   depth     transaction-queue depth sensitivity
-//!   detail    per-workload metric detail on the 8x8 FgNVM
-//!   tail      read-latency distribution (p50/p95/p99) under write-heavy traffic
-//!   wear      Start-Gap wear leveling: lifetime gain vs gap-traffic cost
-//!   policy    DRAM open- vs closed-page (a knob PCM's substrate dissolves)
-//!   mlp       FgNVM speedup vs core ROB/MSHR window (the MLP dependence)
-//!   cores     4-core consolidation: throughput / weighted speedup / fairness
-//!   hybrid    DRAM-buffered PCM (ref [8]) vs and with FgNVM
-//!   reliability  fault injection: RBER x write-verify sweep through ECC/retry/remap
+//!   <study>   any registered study (table1, table2, fig4, fig5, dims, ...);
+//!             the list comes from `fgnvm_sim::study::STUDIES`, and running
+//!             fgnvm-repro with no command prints it with one line each
 //!   observe   instrumented run: spans, SAGxCD heatmap, Perfetto trace [cfg]
 //!   audit     issue-audited run: realized rate vs measured opportunity
 //!             ceiling vs Amdahl bound, block attribution, missed-pair
@@ -50,8 +26,9 @@
 //!             [--telemetry-out FILE] [--telemetry-every N] [--prom-out FILE]
 //!             [--live] [--progress] [--slo-read-p99 N] [--dump-flight FILE]
 //!             [--audit]
+//!   fairness  isolated vs shared per-tenant read p99: fairness [cfg] --tenants SPEC
 //!   regress   self-check headline results against recorded bands (CI)
-//!   all       everything above
+//!   all       every registered study, in registry order
 //! ```
 //!
 //! `serve` drives an open-loop workload for `--horizon` cycles, writing a
@@ -82,7 +59,8 @@
 use std::process::ExitCode;
 
 use fgnvm_sim::runner::ExperimentParams;
-use fgnvm_sim::{experiment, Table};
+use fgnvm_sim::study::{self, STUDIES};
+use fgnvm_sim::Table;
 
 #[derive(Debug)]
 struct Cli {
@@ -303,11 +281,18 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn usage() -> String {
-    "usage: fgnvm-repro <table1|table2|fig4|fig5|ablation|sweep|dims|sched|maps|tech|pause|scaling|mlc|mix|coloring|timeline|writes|depth|detail|cores|hybrid|reliability|tail|wear|policy|mlp|observe|audit|profile|compare|check|fuzz|serve|fairness|regress|summary|all> \
-     [--ops N] [--seed S] [--seeds N] [--cases N] [--csv|--md|--json] [--out DIR] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--report FILE] [--jobs N] \
-     [--horizon N] [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] [--policy reject|block] [--watchdog N] [--kill-resume] [--audit] \
-     [--telemetry-out FILE] [--telemetry-every N] [--prom-out FILE] [--live] [--progress] [--slo-read-p99 N] [--dump-flight FILE] [--tenants SPEC]"
-        .to_string()
+    let commands: Vec<&str> = STUDIES.iter().map(|s| s.command).collect();
+    let mut text = format!(
+        "usage: fgnvm-repro <{}|observe|audit|profile|compare|check|fuzz|serve|fairness|regress|all> \
+         [--ops N] [--seed S] [--seeds N] [--cases N] [--csv|--md|--json] [--out DIR] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--report FILE] [--jobs N] \
+         [--horizon N] [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] [--policy reject|block] [--watchdog N] [--kill-resume] [--audit] \
+         [--telemetry-out FILE] [--telemetry-every N] [--prom-out FILE] [--live] [--progress] [--slo-read-p99 N] [--dump-flight FILE] [--tenants SPEC]\n\nstudies:",
+        commands.join("|")
+    );
+    for s in &STUDIES {
+        text += &format!("\n  {:<12} {}", s.command, s.about);
+    }
+    text
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -364,132 +349,21 @@ fn run(cli: &Cli) -> Result<(), String> {
     };
     let fail = |e: fgnvm_types::ConfigError| e.to_string();
     let emit = |table: &Table, format: Format| emit_to(table, format, cli.out_dir.as_deref());
-    match cli.command.as_str() {
-        "table1" => emit(&experiment::table1(), format),
-        "table2" => emit(&experiment::table2(), format),
-        "fig4" => emit(&experiment::fig4(p).map_err(fail)?.to_table(), format),
-        "fig5" => emit(&experiment::fig5(p).map_err(fail)?.to_table(), format),
-        "ablation" => emit(&experiment::ablation(p).map_err(fail)?.to_table(), format),
-        "sweep" => emit(&experiment::sweep(p).map_err(fail)?.to_table(), format),
-        "summary" => emit(&experiment::summary(p).map_err(fail)?.to_table(), format),
-        "dims" => emit(
-            &fgnvm_sim::extensions::dimensions(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "sched" => emit(
-            &fgnvm_sim::extensions::schedulers(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "maps" => emit(
-            &fgnvm_sim::extensions::mappings(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "tech" => emit(
-            &fgnvm_sim::extensions::technology(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "pause" => emit(
-            &fgnvm_sim::extensions::pausing(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "scaling" => emit(
-            &fgnvm_sim::extensions::scaling(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "mlc" => emit(
-            &fgnvm_sim::extensions::cells(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "mix" => emit(
-            &fgnvm_sim::extensions::multiprogrammed(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "coloring" => emit(
-            &fgnvm_sim::extensions::coloring(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "timeline" => emit(
-            &fgnvm_sim::extensions::timeline(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "writes" => emit(
-            &fgnvm_sim::extensions::write_sweep(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "depth" => emit(
-            &fgnvm_sim::extensions::depth_sweep(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "detail" => emit(
-            &fgnvm_sim::extensions::detail(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "cores" => emit(
-            &fgnvm_sim::extensions::cores(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "hybrid" => emit(
-            &fgnvm_sim::extensions::hybrid(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "reliability" => {
-            if cli.horizon > 0 {
-                emit(
-                    &fgnvm_sim::extensions::reliability_horizon(p)
-                        .map_err(|e| e.to_string())?
-                        .to_table(),
-                    format,
-                )
-            } else {
-                emit(
-                    &fgnvm_sim::extensions::reliability(p)
-                        .map_err(|e| e.to_string())?
-                        .to_table(),
-                    format,
-                )
-            }
+    if let Some(study) = study::find(&cli.command) {
+        let run = match study.horizon {
+            Some(horizon) if cli.horizon > 0 => horizon,
+            _ => study.run,
+        };
+        let outcome = run(p).map_err(|e| e.to_string())?;
+        emit(&outcome.table, format);
+        if matches!(format, Format::Text) {
+            print!("{}", outcome.notes);
         }
+        return Ok(());
+    }
+    match cli.command.as_str() {
         "serve" => serve_command(cli)?,
         "fairness" => fairness_command(cli)?,
-        "tail" => {
-            let result = fgnvm_sim::extensions::tail_latency(p).map_err(fail)?;
-            emit(&result.to_table(), format);
-            if matches!(format, Format::Text) {
-                for row in &result.rows {
-                    println!("\n{}:", row.design);
-                    print!(
-                        "{}",
-                        fgnvm_sim::viz::render_latency_histogram(&row.hist, 48)
-                    );
-                }
-            }
-        }
-        "wear" => emit(
-            &fgnvm_sim::extensions::wear(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "policy" => emit(
-            &fgnvm_sim::extensions::page_policy(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "mlp" => emit(
-            &fgnvm_sim::extensions::mlp(p).map_err(fail)?.to_table(),
-            format,
-        ),
         "observe" => {
             let config = match cli.args.first() {
                 Some(path) => load_config(path)?,
@@ -537,7 +411,12 @@ fn run(cli: &Cli) -> Result<(), String> {
             if cli.args.iter().all(|a| a.ends_with(".jsonl")) {
                 compare_ledgers_command(cli, format)?;
             } else {
-                emit(&compare_param_files(&cli.args, p)?, format)
+                let configs = cli
+                    .args
+                    .iter()
+                    .map(|f| Ok((f.clone(), load_config(f)?)))
+                    .collect::<Result<Vec<_>, String>>()?;
+                emit(&study::compare(&configs, p).map_err(fail)?.table, format)
             }
         }
         "check" => {
@@ -546,103 +425,9 @@ fn run(cli: &Cli) -> Result<(), String> {
         "fuzz" => fuzz_command(cli, p)?,
         "regress" => regress(p)?,
         "all" => {
-            emit(&experiment::table2(), format);
-            emit(&experiment::table1(), format);
-            emit(&experiment::fig4(p).map_err(fail)?.to_table(), format);
-            emit(&experiment::fig5(p).map_err(fail)?.to_table(), format);
-            emit(&experiment::ablation(p).map_err(fail)?.to_table(), format);
-            emit(&experiment::sweep(p).map_err(fail)?.to_table(), format);
-            emit(
-                &fgnvm_sim::extensions::dimensions(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::schedulers(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::mappings(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::technology(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::pausing(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::scaling(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::cells(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::multiprogrammed(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::coloring(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::write_sweep(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::depth_sweep(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::cores(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::tail_latency(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::wear(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::page_policy(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::mlp(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::hybrid(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::reliability(p)
-                    .map_err(|e| e.to_string())?
-                    .to_table(),
-                format,
-            );
-            emit(&experiment::summary(p).map_err(fail)?.to_table(), format);
+            for study in &STUDIES {
+                emit(&(study.run)(p).map_err(|e| e.to_string())?.table, format);
+            }
         }
         other => return Err(format!("unknown command: {other}\n{}", usage())),
     }
@@ -816,42 +601,6 @@ fn config_stem(path: &str) -> String {
         .unwrap_or_else(|| path.to_string())
 }
 
-/// Runs the standard workloads on each parameter-file configuration and
-/// tabulates geometric-mean speedups against the first file.
-fn compare_param_files(files: &[String], params: &ExperimentParams) -> Result<Table, String> {
-    use fgnvm_sim::report::geometric_mean;
-    use fgnvm_sim::runner::run_one;
-    use fgnvm_types::Geometry;
-    // File and parse problems are routed through the SimError taxonomy so
-    // the CLI reports them uniformly instead of panicking.
-    let configs: Vec<_> = files
-        .iter()
-        .map(|f| load_config(f))
-        .collect::<Result<_, String>>()?;
-    let profiles = fgnvm_workloads::all_profiles();
-    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for profile in &profiles {
-        let trace = profile.generate(Geometry::default(), params.seed, params.ops);
-        let mut reference = None;
-        for (i, config) in configs.iter().enumerate() {
-            let outcome = run_one(&trace, config, params).map_err(|e| e.to_string())?;
-            let base = *reference.get_or_insert(outcome.core.ipc());
-            per_config[i].push(outcome.core.ipc() / base);
-        }
-    }
-    let mut table = Table::new(
-        "Parameter-file comparison (gmean speedup vs the first file)",
-        &["file", "speedup"],
-    );
-    for (file, speedups) in files.iter().zip(&per_config) {
-        table.push_row(vec![
-            file.clone(),
-            format!("{:.2}x", geometric_mean(speedups)),
-        ]);
-    }
-    Ok(table)
-}
-
 /// Self-check: re-derives the headline results and asserts they sit inside
 /// the bands recorded in EXPERIMENTS.md. Exits non-zero on drift, making
 /// this a one-command regression gate for the repository.
@@ -873,26 +622,42 @@ fn regress(params: &ExperimentParams) -> Result<(), String> {
             failures.push(name.to_string());
         }
     };
-    let summary = experiment::summary(&fixed).map_err(|e| e.to_string())?;
-    check("fig4 fgnvm gmean", summary.fgnvm_speedup, 1.05, 1.30);
-    let (e2, e8, e32) = summary.energy;
-    check("fig5 8x2 mean", e2, 0.54, 0.67);
-    check("fig5 8x8 mean", e8, 0.29, 0.40);
-    check("fig5 8x32 mean", e32, 0.25, 0.36);
+    let run = |command: &str| {
+        let study = study::find(command).expect("regress reads registered studies");
+        (study.run)(&fixed).map_err(|e| e.to_string())
+    };
+    let (fig4, fig5) = (run("fig4")?, run("fig5")?);
+    let value = |study: &study::StudyOutcome, row: &str, column: &str| {
+        study
+            .get(&[row], column)
+            .unwrap_or_else(|| panic!("no {row:?} row in {:?}", study.table.title()))
+    };
+    check(
+        "fig4 fgnvm gmean",
+        value(&fig4, "gmean", "FgNVM"),
+        1.05,
+        1.30,
+    );
+    check("fig5 8x2 mean", value(&fig5, "mean", "8x2"), 0.54, 0.67);
+    check("fig5 8x8 mean", value(&fig5, "mean", "8x8"), 0.29, 0.40);
+    check("fig5 8x32 mean", value(&fig5, "mean", "8x32"), 0.25, 0.36);
     let (avg, max) = AreaModel::paper_calibrated().table1();
     check("table1 avg um2", avg.total_um2(), 2930.0, 2990.0);
     check("table1 max %", max.percent_of_chip, 0.33, 0.42);
-    let tail = fgnvm_sim::extensions::tail_latency(&fixed).map_err(|e| e.to_string())?;
-    let base_p99 = tail.row("baseline").expect("baseline row").p99;
-    let fg_p99 = tail.row("FgNVM 8x8").expect("fgnvm row").p99;
-    check("tail p99 contraction", base_p99 / fg_p99, 1.3, 6.0);
-    let wear = fgnvm_sim::extensions::wear(&fixed).map_err(|e| e.to_string())?;
-    let leveled = wear.row("start-gap /8").expect("leveled row");
-    check("wear lifetime gain", leveled.lifetime_gain, 2.0, 30.0);
-    check("wear relative ipc", leveled.relative_ipc, 0.85, 1.5);
-    let mlp = fgnvm_sim::extensions::mlp(&fixed).map_err(|e| e.to_string())?;
-    let narrow = mlp.rows.first().expect("narrow window row").speedup();
-    let wide = mlp.rows.last().expect("wide window row").speedup();
+    let tail = run("tail")?;
+    let p99 = |design| value(&tail, design, "~p99");
+    check(
+        "tail p99 contraction",
+        p99("baseline") / p99("FgNVM 8x8"),
+        1.3,
+        6.0,
+    );
+    let wear = run("wear")?;
+    let leveled = |column| value(&wear, "start-gap /8", column);
+    check("wear lifetime gain", leveled("lifetime gain"), 2.0, 30.0);
+    check("wear relative ipc", leveled("relative IPC"), 0.85, 1.5);
+    let speedups = run("mlp")?.select(&[], "speedup");
+    let (narrow, wide) = (speedups[0], speedups[speedups.len() - 1]);
     check("mlp speedup growth", wide / narrow, 1.10, 2.5);
     if failures.is_empty() {
         println!("regression check passed");

@@ -1,289 +1,172 @@
-//! The paper's experiments, one function per table/figure.
+//! The paper's studies, declared for the [study engine](crate::study).
 //!
-//! | Function | Paper artifact |
+//! | Command | Paper artifact |
 //! |---|---|
-//! | [`table1`] | Table 1 — area overheads |
-//! | [`table2`] | Table 2 — memory system setup |
-//! | [`fig4`] | Figure 4 — relative IPC (FgNVM, 128 banks, Multi-Issue) |
-//! | [`fig5`] | Figure 5 — relative energy (8×2, 8×8, 8×32, Perfect) |
-//! | [`ablation`] | per-access-mode contribution study (§4 design choices) |
-//! | [`sweep`] | SAG×CD sensitivity sweep |
-//! | [`summary`] | §6 headline numbers vs the paper's claims |
+//! | `table1` | Table 1 — area overheads |
+//! | `table2` | Table 2 — memory system setup |
+//! | `fig4` ([`fig4`]) | Figure 4 — relative IPC (FgNVM, 128 banks, Multi-Issue) |
+//! | `fig5` ([`fig5`]) | Figure 5 — relative energy (8×2, 8×8, 8×32, Perfect) |
+//! | `ablation` | per-access-mode contribution study (§4 design choices) |
+//! | `sweep` | SAG×CD sensitivity sweep |
+//! | `summary` | §6 headline numbers vs the paper's claims |
 
+use fgnvm_cpu::Trace;
 use fgnvm_model::area::AreaModel;
 use fgnvm_model::energy::{perfect_energy_pj, AccessCounts};
 use fgnvm_types::config::{BankModel, SystemConfig};
-use fgnvm_types::error::ConfigError;
+use fgnvm_types::error::{ConfigError, SimError};
 use fgnvm_types::geometry::Geometry;
 use fgnvm_workloads::{all_profiles, Profile};
 
-use crate::report::{fmt_ratio, fmt_speedup, geometric_mean, mean, Table};
-use crate::runner::{run_grid, ExperimentParams};
+use crate::report::{fmt_ratio, fmt_speedup};
+use crate::runner::ExperimentParams;
+use crate::study::{energy, speedup, Cell, Column, Grid, Reduce, StudyOutcome};
 
 /// The geometry traces are generated against (the baseline address space;
 /// all compared configurations cover the same capacity).
-fn trace_geometry() -> Geometry {
+pub(crate) fn trace_geometry() -> Geometry {
     SystemConfig::baseline().geometry
 }
 
-/// One workload's row of Figure 4.
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Workload name.
-    pub workload: String,
-    /// FgNVM 8×2 speedup over baseline.
-    pub fgnvm: f64,
-    /// Size-matched 128-bank design speedup over baseline.
-    pub many_banks: f64,
-    /// FgNVM 8×2 + Multi-Issue speedup over baseline.
-    pub multi_issue: f64,
+/// Generates the named profiles' traces on the baseline address space.
+pub(crate) fn traces(names: &[&str], params: &ExperimentParams) -> Vec<Trace> {
+    names
+        .iter()
+        .map(|n| {
+            fgnvm_workloads::profile(n)
+                .expect("known profile")
+                .generate(trace_geometry(), params.seed, params.ops)
+        })
+        .collect()
 }
 
-/// Figure 4: relative IPC over the baseline PCM design.
-#[derive(Debug, Clone)]
-pub struct Fig4Result {
-    /// Per-workload speedups.
-    pub rows: Vec<Fig4Row>,
+fn generate(profiles: &[Profile], params: &ExperimentParams) -> Vec<Trace> {
+    profiles
+        .iter()
+        .map(|p| p.generate(trace_geometry(), params.seed, params.ops))
+        .collect()
 }
 
-impl Fig4Result {
-    /// Geometric-mean speedups (fgnvm, many-banks, multi-issue).
-    pub fn gmeans(&self) -> (f64, f64, f64) {
-        (
-            geometric_mean(&self.rows.iter().map(|r| r.fgnvm).collect::<Vec<_>>()),
-            geometric_mean(&self.rows.iter().map(|r| r.many_banks).collect::<Vec<_>>()),
-            geometric_mean(&self.rows.iter().map(|r| r.multi_issue).collect::<Vec<_>>()),
-        )
-    }
-
-    /// Renders as a text table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Figure 4: IPC relative to baseline (8x2 FgNVM)",
-            &["workload", "FgNVM", "128 banks", "FgNVM+Multi-Issue"],
-        );
-        for r in &self.rows {
-            t.push_row(vec![
-                r.workload.clone(),
-                fmt_speedup(r.fgnvm),
-                fmt_speedup(r.many_banks),
-                fmt_speedup(r.multi_issue),
-            ]);
-        }
-        let (f, m, mi) = self.gmeans();
-        t.push_row(vec![
-            "gmean".into(),
-            fmt_speedup(f),
-            fmt_speedup(m),
-            fmt_speedup(mi),
-        ]);
-        t
-    }
-}
-
-/// Runs Figure 4 over the standard twelve workloads.
+/// Figure 4 (relative IPC over the baseline PCM design) on `profiles`:
+/// one row per workload plus a `gmean` row.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if a configuration fails to build.
-pub fn fig4(params: &ExperimentParams) -> Result<Fig4Result, ConfigError> {
-    fig4_with_profiles(params, &all_profiles())
-}
-
-/// Figure 4 restricted to the given workload profiles.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if a configuration fails to build.
-pub fn fig4_with_profiles(
-    params: &ExperimentParams,
-    profiles: &[Profile],
-) -> Result<Fig4Result, ConfigError> {
-    let configs = [
+pub fn fig4(profiles: &[Profile], params: &ExperimentParams) -> Result<StudyOutcome, ConfigError> {
+    let designs = vec![
         SystemConfig::baseline(),
         SystemConfig::fgnvm(8, 2)?,
         SystemConfig::many_banks_matching(8, 2)?,
         SystemConfig::fgnvm_multi_issue(8, 2, 2)?,
     ];
-    let geometry = trace_geometry();
-    // One work-stealing pool over the whole workload × config lattice:
-    // no per-workload barrier.
-    let traces: Vec<_> = profiles
-        .iter()
-        .map(|p| p.generate(geometry, params.seed, params.ops))
-        .collect();
-    let grid = run_grid(&traces, &configs, params)?;
-    let rows = profiles
-        .iter()
-        .zip(&grid)
-        .map(|(profile, outcomes)| {
-            let base = outcomes[0].core;
-            Fig4Row {
-                workload: profile.name.to_string(),
-                fgnvm: outcomes[1].core.speedup_over(&base),
-                many_banks: outcomes[2].core.speedup_over(&base),
-                multi_issue: outcomes[3].core.speedup_over(&base),
-            }
-        })
-        .collect();
-    Ok(Fig4Result { rows })
+    let column =
+        |header, design| Column::new(header, speedup, Reduce::Gmean, fmt_speedup).of(design);
+    let mut grid = Grid::new(
+        "Figure 4: IPC relative to baseline (8x2 FgNVM)",
+        &["workload"],
+        vec![
+            column("FgNVM", 1),
+            column("128 banks", 2),
+            column("FgNVM+Multi-Issue", 3),
+        ],
+        generate(profiles, params),
+        designs,
+    );
+    grid.per_workload(Some("gmean"));
+    grid.run(params)
 }
 
-/// One workload's row of Figure 5 (energies relative to baseline).
-#[derive(Debug, Clone)]
-pub struct Fig5Row {
-    /// Workload name.
-    pub workload: String,
-    /// 8×2 FgNVM relative energy.
-    pub e8x2: f64,
-    /// 8×8 FgNVM relative energy.
-    pub e8x8: f64,
-    /// 8×32 FgNVM relative energy.
-    pub e8x32: f64,
-    /// Perfect (one line per miss, no background) relative energy.
-    pub perfect: f64,
+/// "Perfect": exactly one cache line sensed per miss of the design, no
+/// background power, relative to the reference's total energy.
+fn perfect_energy(c: &Cell<'_>) -> f64 {
+    let counts = AccessCounts {
+        reads: c.run.banks.reads,
+        read_hits: c.run.banks.row_hits,
+        writes: c.run.banks.writes,
+    };
+    perfect_energy_pj(&counts, &c.config.geometry, &c.config.energy) / c.reference.energy.total_pj()
 }
 
-/// Figure 5: energy normalized to the baseline NVM prototype.
-#[derive(Debug, Clone)]
-pub struct Fig5Result {
-    /// Per-workload relative energies.
-    pub rows: Vec<Fig5Row>,
-}
-
-impl Fig5Result {
-    /// Mean relative energies (8×2, 8×8, 8×32, perfect).
-    pub fn means(&self) -> (f64, f64, f64, f64) {
-        (
-            mean(&self.rows.iter().map(|r| r.e8x2).collect::<Vec<_>>()),
-            mean(&self.rows.iter().map(|r| r.e8x8).collect::<Vec<_>>()),
-            mean(&self.rows.iter().map(|r| r.e8x32).collect::<Vec<_>>()),
-            mean(&self.rows.iter().map(|r| r.perfect).collect::<Vec<_>>()),
-        )
-    }
-
-    /// Renders as a text table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Figure 5: energy relative to baseline",
-            &["workload", "8x2", "8x8", "8x32", "8x32 Perfect"],
-        );
-        for r in &self.rows {
-            t.push_row(vec![
-                r.workload.clone(),
-                fmt_ratio(r.e8x2),
-                fmt_ratio(r.e8x8),
-                fmt_ratio(r.e8x32),
-                fmt_ratio(r.perfect),
-            ]);
-        }
-        let (a, b, c, d) = self.means();
-        t.push_row(vec![
-            "mean".into(),
-            fmt_ratio(a),
-            fmt_ratio(b),
-            fmt_ratio(c),
-            fmt_ratio(d),
-        ]);
-        t
-    }
-}
-
-/// Runs Figure 5 over the standard twelve workloads.
+/// Figure 5 (energy normalized to the baseline NVM prototype) on
+/// `profiles`: one row per workload plus a `mean` row.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if a configuration fails to build.
-pub fn fig5(params: &ExperimentParams) -> Result<Fig5Result, ConfigError> {
-    fig5_with_profiles(params, &all_profiles())
-}
-
-/// Figure 5 restricted to the given workload profiles.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if a configuration fails to build.
-pub fn fig5_with_profiles(
-    params: &ExperimentParams,
-    profiles: &[Profile],
-) -> Result<Fig5Result, ConfigError> {
-    let configs = [
+pub fn fig5(profiles: &[Profile], params: &ExperimentParams) -> Result<StudyOutcome, ConfigError> {
+    let designs = vec![
         SystemConfig::baseline(),
         SystemConfig::fgnvm(8, 2)?,
         SystemConfig::fgnvm(8, 8)?,
         SystemConfig::fgnvm(8, 32)?,
     ];
-    let geometry = trace_geometry();
-    let traces: Vec<_> = profiles
-        .iter()
-        .map(|p| p.generate(geometry, params.seed, params.ops))
-        .collect();
-    let grid = run_grid(&traces, &configs, params)?;
-    let mut rows = Vec::with_capacity(profiles.len());
-    for (profile, outcomes) in profiles.iter().zip(&grid) {
-        let base_energy = outcomes[0].energy;
-        // "Perfect": exactly one cache line sensed per miss of the finest
-        // design, no background power.
-        let fine = &outcomes[3];
-        let counts = AccessCounts {
-            reads: fine.banks.reads,
-            read_hits: fine.banks.row_hits,
-            writes: fine.banks.writes,
-        };
-        let perfect_pj = perfect_energy_pj(&counts, &configs[3].geometry, &configs[3].energy);
-        rows.push(Fig5Row {
-            workload: profile.name.to_string(),
-            e8x2: outcomes[1].energy.relative_to(&base_energy),
-            e8x8: outcomes[2].energy.relative_to(&base_energy),
-            e8x32: outcomes[3].energy.relative_to(&base_energy),
-            perfect: perfect_pj / base_energy.total_pj(),
-        });
-    }
-    Ok(Fig5Result { rows })
+    let column =
+        |header, metric, design| Column::new(header, metric, Reduce::Mean, fmt_ratio).of(design);
+    let mut grid = Grid::new(
+        "Figure 5: energy relative to baseline",
+        &["workload"],
+        vec![
+            column("8x2", energy, 1),
+            column("8x8", energy, 2),
+            column("8x32", energy, 3),
+            column("8x32 Perfect", perfect_energy, 3),
+        ],
+        generate(profiles, params),
+        designs,
+    );
+    grid.per_workload(Some("mean"));
+    grid.run(params)
 }
 
-/// Renders Table 1 (area overheads).
-pub fn table1() -> Table {
+/// Table 1 (area overheads).
+pub(crate) fn table1() -> StudyOutcome {
     let model = AreaModel::paper_calibrated();
     let (avg, max) = model.table1();
-    let mut t = Table::new(
+    let mut t = StudyOutcome::new(
         "Table 1: area overheads (avg = 8x8 FgNVM, max = 32x32 FgNVM)",
         &["component", "avg overhead", "max overhead"],
+        &[],
     );
-    t.push_row(vec!["Row Decoder".into(), "N/A".into(), "N/A".into()]);
-    t.push_row(vec![
-        "Row Latches".into(),
-        format!("{:.0} um^2", avg.row_latches_um2),
-        format!("{:.0} um^2", max.row_latches_um2),
-    ]);
-    t.push_row(vec![
-        "CSL Latches".into(),
-        format!("{:.1} um^2", avg.csl_latches_um2),
-        format!("{:.0} um^2", max.csl_latches_um2),
-    ]);
-    t.push_row(vec![
-        "LY-SEL Lines".into(),
-        "0 um^2 (routed over tiles)".into(),
-        format!("{:.2} mm^2", max.yselect_lines_um2 / 1e6),
-    ]);
-    t.push_row(vec![
-        "Total".into(),
-        format!("{:.0} um^2 ({:.3}%)", avg.total_um2(), avg.percent_of_chip),
-        format!(
-            "{:.2} mm^2 ({:.2}%)",
-            max.total_um2() / 1e6,
-            max.percent_of_chip
-        ),
-    ]);
+    let rows = [
+        ["Row Decoder".into(), "N/A".into(), "N/A".into()],
+        [
+            "Row Latches".into(),
+            format!("{:.0} um^2", avg.row_latches_um2),
+            format!("{:.0} um^2", max.row_latches_um2),
+        ],
+        [
+            "CSL Latches".into(),
+            format!("{:.1} um^2", avg.csl_latches_um2),
+            format!("{:.0} um^2", max.csl_latches_um2),
+        ],
+        [
+            "LY-SEL Lines".into(),
+            "0 um^2 (routed over tiles)".into(),
+            format!("{:.2} mm^2", max.yselect_lines_um2 / 1e6),
+        ],
+        [
+            "Total".into(),
+            format!("{:.0} um^2 ({:.3}%)", avg.total_um2(), avg.percent_of_chip),
+            format!(
+                "{:.2} mm^2 ({:.2}%)",
+                max.total_um2() / 1e6,
+                max.percent_of_chip
+            ),
+        ],
+    ];
+    for row in rows {
+        t.push(row.to_vec(), vec![]);
+    }
     t
 }
 
-/// Renders Table 2 (memory system setup) from the live configuration.
-pub fn table2() -> Table {
+/// Table 2 (memory system setup) from the live configuration.
+pub(crate) fn table2() -> StudyOutcome {
     let cfg = SystemConfig::fgnvm(4, 4).expect("paper config is valid");
     let g = cfg.geometry;
     let t2 = cfg.timing;
-    let mut t = Table::new("Table 2: memory system setup", &["parameter", "value"]);
+    let mut t = StudyOutcome::new("Table 2: memory system setup", &["parameter", "value"], &[]);
     let rows: Vec<(&str, String)> = vec![
         (
             "row buffer",
@@ -312,256 +195,131 @@ pub fn table2() -> Table {
         ("tWR", format!("{} ns", t2.t_wr_ns)),
     ];
     for (k, v) in rows {
-        t.push_row(vec![k.into(), v]);
+        t.push(vec![k.into(), v], vec![]);
     }
     t
 }
 
-/// One row of the access-mode ablation.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Workload name.
-    pub workload: String,
-    /// Mode combination label.
-    pub modes: &'static str,
-    /// Speedup over baseline.
-    pub speedup: f64,
-    /// Energy relative to baseline.
-    pub energy: f64,
-}
-
-/// Ablation of the three access modes on an 8×8 FgNVM.
-#[derive(Debug, Clone)]
-pub struct AblationResult {
-    /// One row per (workload, mode combination).
-    pub rows: Vec<AblationRow>,
-}
-
-impl AblationResult {
-    /// Renders as a text table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation: access-mode contributions (8x8 FgNVM)",
-            &["workload", "modes", "speedup", "rel. energy"],
-        );
-        for r in &self.rows {
-            t.push_row(vec![
-                r.workload.clone(),
-                r.modes.to_string(),
-                fmt_speedup(r.speedup),
-                fmt_ratio(r.energy),
-            ]);
-        }
-        t
-    }
-}
-
 /// Mode combinations exercised by the ablation.
-fn ablation_models() -> Vec<(&'static str, BankModel)> {
-    vec![
-        (
-            "none",
-            BankModel::Fgnvm {
-                partial_activation: false,
-                multi_activation: false,
-                background_writes: false,
-            },
-        ),
-        (
-            "partial-only",
-            BankModel::Fgnvm {
-                partial_activation: true,
-                multi_activation: false,
-                background_writes: false,
-            },
-        ),
-        (
-            "multi-only",
-            BankModel::Fgnvm {
-                partial_activation: false,
-                multi_activation: true,
-                background_writes: false,
-            },
-        ),
-        (
-            "bg-writes-only",
-            BankModel::Fgnvm {
-                partial_activation: false,
-                multi_activation: true,
-                background_writes: true,
-            },
-        ),
+fn ablation_models() -> [(&'static str, BankModel); 5] {
+    let modes = |partial_activation, multi_activation, background_writes| BankModel::Fgnvm {
+        partial_activation,
+        multi_activation,
+        background_writes,
+    };
+    [
+        ("none", modes(false, false, false)),
+        ("partial-only", modes(true, false, false)),
+        ("multi-only", modes(false, true, false)),
+        ("bg-writes-only", modes(false, true, true)),
         ("all", BankModel::fgnvm()),
     ]
 }
 
-/// Runs the ablation on a conflict-heavy and a write-heavy workload.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if a configuration fails to build.
-pub fn ablation(params: &ExperimentParams) -> Result<AblationResult, ConfigError> {
-    let geometry = trace_geometry();
-    let profiles: Vec<Profile> = ["mcf_like", "lbm_like", "milc_like"]
-        .iter()
-        .map(|n| fgnvm_workloads::profile(n).expect("known profile"))
-        .collect();
-    let mut configs = vec![SystemConfig::baseline()];
+/// Ablation of the three access modes on an 8×8 FgNVM, on a
+/// conflict-heavy and a write-heavy workload.
+pub(crate) fn ablation(params: &ExperimentParams) -> Result<StudyOutcome, SimError> {
+    let mut designs = vec![SystemConfig::baseline()];
     for (_, model) in ablation_models() {
-        let mut cfg = SystemConfig::fgnvm(8, 8)?;
-        cfg.bank_model = model;
-        configs.push(cfg);
-    }
-    let traces: Vec<_> = profiles
-        .iter()
-        .map(|p| p.generate(geometry, params.seed, params.ops))
-        .collect();
-    let grid = run_grid(&traces, &configs, params)?;
-    let mut rows = Vec::new();
-    for (profile, outcomes) in profiles.iter().zip(&grid) {
-        let base = &outcomes[0];
-        for ((label, _), outcome) in ablation_models().iter().zip(&outcomes[1..]) {
-            rows.push(AblationRow {
-                workload: profile.name.to_string(),
-                modes: label,
-                speedup: outcome.core.speedup_over(&base.core),
-                energy: outcome.energy.relative_to(&base.energy),
-            });
-        }
-    }
-    Ok(AblationResult { rows })
-}
-
-/// One row of the subdivision sweep.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Subarray groups.
-    pub sags: u32,
-    /// Column divisions.
-    pub cds: u32,
-    /// Geometric-mean speedup over baseline across workloads.
-    pub speedup: f64,
-    /// Mean relative energy across workloads.
-    pub energy: f64,
-    /// Area overhead (% of chip) from the analytical model.
-    pub area_percent: f64,
-}
-
-/// Sensitivity sweep over SAG×CD subdivisions.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// One row per subdivision.
-    pub rows: Vec<SweepRow>,
-}
-
-impl SweepResult {
-    /// Renders as a text table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Sensitivity: SAG x CD sweep (gmean over workloads)",
-            &["design", "speedup", "rel. energy", "area %"],
-        );
-        for r in &self.rows {
-            t.push_row(vec![
-                format!("{}x{}", r.sags, r.cds),
-                fmt_speedup(r.speedup),
-                fmt_ratio(r.energy),
-                format!("{:.3}", r.area_percent),
-            ]);
-        }
-        t
-    }
-}
-
-/// Runs the subdivision sweep on three representative workloads.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if a configuration fails to build.
-pub fn sweep(params: &ExperimentParams) -> Result<SweepResult, ConfigError> {
-    let geometry = trace_geometry();
-    let area = AreaModel::paper_calibrated();
-    let profiles: Vec<Profile> = ["mcf_like", "libquantum_like", "omnetpp_like"]
-        .iter()
-        .map(|n| fgnvm_workloads::profile(n).expect("known profile"))
-        .collect();
-    let designs = [(2u32, 2u32), (4, 4), (8, 2), (8, 8), (16, 16), (32, 32)];
-    let traces: Vec<_> = profiles
-        .iter()
-        .map(|p| p.generate(geometry, params.seed, params.ops))
-        .collect();
-    // One lattice over every workload × (baseline + designs): column 0 is
-    // the per-workload baseline the design columns normalize against.
-    let mut configs = vec![SystemConfig::baseline()];
-    for (sags, cds) in designs {
-        configs.push(SystemConfig::fgnvm(sags, cds)?);
-    }
-    let grid = run_grid(&traces, &configs, params)?;
-    let mut rows = Vec::new();
-    for (d, (sags, cds)) in designs.into_iter().enumerate() {
-        let mut speedups = Vec::new();
-        let mut energies = Vec::new();
-        for outcomes in &grid {
-            let base = &outcomes[0];
-            let outcome = &outcomes[d + 1];
-            speedups.push(outcome.core.speedup_over(&base.core));
-            energies.push(outcome.energy.relative_to(&base.energy));
-        }
-        rows.push(SweepRow {
-            sags,
-            cds,
-            speedup: geometric_mean(&speedups),
-            energy: mean(&energies),
-            area_percent: area.report(sags, cds).percent_of_chip,
+        designs.push(SystemConfig {
+            bank_model: model,
+            ..SystemConfig::fgnvm(8, 8)?
         });
     }
-    Ok(SweepResult { rows })
-}
-
-/// Headline comparison against the paper's §6 claims.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Measured gmean FgNVM speedup (paper: 1.565× average improvement).
-    pub fgnvm_speedup: f64,
-    /// Measured mean relative energies for 8×2 / 8×8 / 8×32
-    /// (paper: 0.63 / 0.35 / 0.27).
-    pub energy: (f64, f64, f64),
-}
-
-impl Summary {
-    /// Renders as a text table with the paper's numbers alongside.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Headline results vs paper (§6)",
-            &["metric", "paper", "measured"],
-        );
-        t.push_row(vec![
-            "avg FgNVM speedup".into(),
-            "1.57x".into(),
-            fmt_speedup(self.fgnvm_speedup),
-        ]);
-        let (a, b, c) = self.energy;
-        t.push_row(vec!["8x2 rel. energy".into(), "0.63".into(), fmt_ratio(a)]);
-        t.push_row(vec!["8x8 rel. energy".into(), "0.35".into(), fmt_ratio(b)]);
-        t.push_row(vec!["8x32 rel. energy".into(), "0.27".into(), fmt_ratio(c)]);
-        t
+    let traces = traces(&["mcf_like", "lbm_like", "milc_like"], params);
+    let names: Vec<String> = traces.iter().map(|t| t.name().to_string()).collect();
+    let mut grid = Grid::new(
+        "Ablation: access-mode contributions (8x8 FgNVM)",
+        &["workload", "modes"],
+        vec![
+            Column::new("speedup", speedup, Reduce::Gmean, fmt_speedup),
+            Column::new("rel. energy", energy, Reduce::Mean, fmt_ratio),
+        ],
+        traces,
+        designs,
+    );
+    for (w, name) in names.into_iter().enumerate() {
+        for (m, (label, _)) in ablation_models().into_iter().enumerate() {
+            grid.row_over(vec![name.clone(), label.into()], m + 1, 0, w..w + 1);
+        }
     }
+    Ok(grid.run(params)?)
 }
 
-/// Computes the headline summary (runs Figures 4 and 5).
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if a configuration fails to build.
-pub fn summary(params: &ExperimentParams) -> Result<Summary, ConfigError> {
-    let f4 = fig4(params)?;
-    let f5 = fig5(params)?;
-    let (fg, _, _) = f4.gmeans();
-    let (a, b, c, _) = f5.means();
-    Ok(Summary {
-        fgnvm_speedup: fg,
-        energy: (a, b, c),
-    })
+/// Area overhead (% of chip) of the design's subdivision.
+fn area_percent(c: &Cell<'_>) -> f64 {
+    let g = c.config.geometry;
+    AreaModel::paper_calibrated()
+        .report(g.sags(), g.cds())
+        .percent_of_chip
+}
+
+/// The SAG×CD subdivision sweep on three representative workloads.
+pub(crate) fn sweep(params: &ExperimentParams) -> Result<StudyOutcome, SimError> {
+    let shapes = [(2u32, 2u32), (4, 4), (8, 2), (8, 8), (16, 16), (32, 32)];
+    let mut designs = vec![SystemConfig::baseline()];
+    for (sags, cds) in shapes {
+        designs.push(SystemConfig::fgnvm(sags, cds)?);
+    }
+    let mut grid = Grid::new(
+        "Sensitivity: SAG x CD sweep (gmean over workloads)",
+        &["design"],
+        vec![
+            Column::new("speedup", speedup, Reduce::Gmean, fmt_speedup),
+            Column::new("rel. energy", energy, Reduce::Mean, fmt_ratio),
+            Column::new("area %", area_percent, Reduce::Max, |v| format!("{v:.3}")),
+        ],
+        traces(&["mcf_like", "libquantum_like", "omnetpp_like"], params),
+        designs,
+    );
+    for (d, (sags, cds)) in shapes.into_iter().enumerate() {
+        grid.row(vec![format!("{sags}x{cds}")], d + 1, 0);
+    }
+    Ok(grid.run(params)?)
+}
+
+/// The headline comparison against the paper's §6 claims (runs Figures 4
+/// and 5).
+pub(crate) fn summary(params: &ExperimentParams) -> Result<StudyOutcome, SimError> {
+    let profiles = all_profiles();
+    let f4 = fig4(&profiles, params)?;
+    let f5 = fig5(&profiles, params)?;
+    let measured = |study: &StudyOutcome, row, column| {
+        study
+            .get(&[row], column)
+            .expect("figure has its reduction row")
+    };
+    let mut t = StudyOutcome::new(
+        "Headline results vs paper (§6)",
+        &["metric", "paper", "measured"],
+        &[],
+    );
+    let rows = [
+        (
+            "avg FgNVM speedup",
+            "1.57x",
+            fmt_speedup(measured(&f4, "gmean", "FgNVM")),
+        ),
+        (
+            "8x2 rel. energy",
+            "0.63",
+            fmt_ratio(measured(&f5, "mean", "8x2")),
+        ),
+        (
+            "8x8 rel. energy",
+            "0.35",
+            fmt_ratio(measured(&f5, "mean", "8x8")),
+        ),
+        (
+            "8x32 rel. energy",
+            "0.27",
+            fmt_ratio(measured(&f5, "mean", "8x32")),
+        ),
+    ];
+    for (metric, paper, value) in rows {
+        t.push(vec![metric.into(), paper.into(), value], vec![]);
+    }
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -578,7 +336,7 @@ mod tests {
     #[test]
     fn table1_has_all_components() {
         let t = table1();
-        let s = t.render();
+        let s = t.table.render();
         for needle in [
             "Row Decoder",
             "Row Latches",
@@ -592,7 +350,7 @@ mod tests {
 
     #[test]
     fn table2_lists_paper_timings() {
-        let s = table2().render();
+        let s = table2().table.render();
         for needle in ["tRCD", "25 ns", "tWP", "150 ns", "FRFCFS"] {
             assert!(s.contains(needle), "missing {needle}");
         }
@@ -601,11 +359,12 @@ mod tests {
     #[test]
     fn fig4_speedups_exceed_one_for_conflict_heavy() {
         let profiles = [fgnvm_workloads::profile("mcf_like").unwrap()];
-        let result = fig4_with_profiles(&tiny_params(), &profiles).unwrap();
-        let row = &result.rows[0];
-        assert!(row.fgnvm >= 0.95, "fgnvm regressed: {}", row.fgnvm);
+        let result = fig4(&profiles, &tiny_params()).unwrap();
+        let row = |column| result.get(&["mcf_like"], column).unwrap();
+        let fgnvm = row("FgNVM");
+        assert!(fgnvm >= 0.95, "fgnvm regressed: {fgnvm}");
         assert!(
-            row.many_banks >= row.fgnvm * 0.9,
+            row("128 banks") >= fgnvm * 0.9,
             "many banks should be competitive"
         );
     }
@@ -613,56 +372,41 @@ mod tests {
     #[test]
     fn fig5_orderings_hold() {
         let profiles = [fgnvm_workloads::profile("milc_like").unwrap()];
-        let result = fig5_with_profiles(&tiny_params(), &profiles).unwrap();
-        let row = &result.rows[0];
-        assert!(row.e8x2 < 1.0, "8x2 should save energy: {}", row.e8x2);
-        assert!(row.e8x8 < row.e8x2, "more CDs must save more");
-        assert!(row.e8x32 <= row.e8x8 * 1.05);
-        assert!(row.perfect <= row.e8x32 * 1.05);
+        let result = fig5(&profiles, &tiny_params()).unwrap();
+        let row = |column| result.get(&["milc_like"], column).unwrap();
+        let (e8x2, e8x8, e8x32) = (row("8x2"), row("8x8"), row("8x32"));
+        assert!(e8x2 < 1.0, "8x2 should save energy: {e8x2}");
+        assert!(e8x8 < e8x2, "more CDs must save more");
+        assert!(e8x32 <= e8x8 * 1.05);
+        assert!(row("8x32 Perfect") <= e8x32 * 1.05);
     }
 
     #[test]
     fn ablation_all_beats_none() {
         let result = ablation(&tiny_params()).unwrap();
+        let cell = |workload, modes, column| result.get(&[workload, modes], column).unwrap();
         for workload in ["mcf_like", "lbm_like"] {
-            let none = result
-                .rows
-                .iter()
-                .find(|r| r.workload == workload && r.modes == "none")
-                .unwrap();
-            let all = result
-                .rows
-                .iter()
-                .find(|r| r.workload == workload && r.modes == "all")
-                .unwrap();
+            let none = cell(workload, "none", "speedup");
+            let all = cell(workload, "all", "speedup");
             // Pointer-chasing workloads cannot exploit parallelism (their
             // loads serialize on dependences), so allow a small underfetch
             // cost; everything else must improve.
             assert!(
-                all.speedup >= none.speedup * 0.95,
-                "{workload}: all {} much worse than none {}",
-                all.speedup,
-                none.speedup
+                all >= none * 0.95,
+                "{workload}: all {all} much worse than none {none}"
             );
             // Partial activation always cuts energy.
-            assert!(all.energy <= none.energy, "{workload}: energy regressed");
+            assert!(
+                cell(workload, "all", "rel. energy") <= cell(workload, "none", "rel. energy"),
+                "{workload}: energy regressed"
+            );
         }
         // The write-heavy workload must benefit from backgrounded writes.
-        let lbm_none = result
-            .rows
-            .iter()
-            .find(|r| r.workload == "lbm_like" && r.modes == "none")
-            .unwrap();
-        let lbm_all = result
-            .rows
-            .iter()
-            .find(|r| r.workload == "lbm_like" && r.modes == "all")
-            .unwrap();
+        let lbm_none = cell("lbm_like", "none", "speedup");
+        let lbm_all = cell("lbm_like", "all", "speedup");
         assert!(
-            lbm_all.speedup > lbm_none.speedup,
-            "write hiding should speed up lbm_like: {} vs {}",
-            lbm_all.speedup,
-            lbm_none.speedup
+            lbm_all > lbm_none,
+            "write hiding should speed up lbm_like: {lbm_all} vs {lbm_none}"
         );
     }
 }

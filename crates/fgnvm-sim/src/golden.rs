@@ -16,42 +16,21 @@
 
 use std::path::PathBuf;
 
-use crate::experiment;
 use crate::runner::ExperimentParams;
+use crate::study::{self, STUDIES};
 
-/// Snapshot names, in check order. Each maps to `tests/goldens/<name>.csv`:
-/// every study command, plus `reliability-horizon` for `reliability
-/// --horizon`.
-pub const SNAPSHOTS: [&str; 28] = [
-    "table1",
-    "table2",
-    "fig4",
-    "fig5",
-    "ablation",
-    "sweep",
-    "summary",
-    "dims",
-    "sched",
-    "maps",
-    "tech",
-    "pause",
-    "scaling",
-    "mlc",
-    "mix",
-    "coloring",
-    "timeline",
-    "writes",
-    "depth",
-    "detail",
-    "tail",
-    "wear",
-    "policy",
-    "mlp",
-    "cores",
-    "hybrid",
-    "reliability",
-    "reliability-horizon",
-];
+/// Snapshot names, in registry order: every study command, plus
+/// `<command>-horizon` for a study's `--horizon` variant. Each maps to
+/// `tests/goldens/<name>.csv`.
+pub fn snapshots() -> Vec<String> {
+    STUDIES
+        .iter()
+        .flat_map(|s| {
+            let horizon = s.horizon.map(|_| format!("{}-horizon", s.command));
+            std::iter::once(s.command.to_string()).chain(horizon)
+        })
+        .collect()
+}
 
 /// The directory holding the checked-in goldens.
 pub fn golden_dir() -> PathBuf {
@@ -73,43 +52,14 @@ pub fn golden_params() -> ExperimentParams {
 ///
 /// Returns a description for unknown names or failing experiments.
 pub fn snapshot(name: &str) -> Result<String, String> {
-    use crate::extensions as ext;
-    let p = &golden_params();
-    let fail = |e: fgnvm_types::ConfigError| e.to_string();
-    let table = match name {
-        "table1" => experiment::table1(),
-        "table2" => experiment::table2(),
-        "fig4" => experiment::fig4(p).map_err(fail)?.to_table(),
-        "fig5" => experiment::fig5(p).map_err(fail)?.to_table(),
-        "ablation" => experiment::ablation(p).map_err(fail)?.to_table(),
-        "sweep" => experiment::sweep(p).map_err(fail)?.to_table(),
-        "summary" => experiment::summary(p).map_err(fail)?.to_table(),
-        "dims" => ext::dimensions(p).map_err(fail)?.to_table(),
-        "sched" => ext::schedulers(p).map_err(fail)?.to_table(),
-        "maps" => ext::mappings(p).map_err(fail)?.to_table(),
-        "tech" => ext::technology(p).map_err(fail)?.to_table(),
-        "pause" => ext::pausing(p).map_err(fail)?.to_table(),
-        "scaling" => ext::scaling(p).map_err(fail)?.to_table(),
-        "mlc" => ext::cells(p).map_err(fail)?.to_table(),
-        "mix" => ext::multiprogrammed(p).map_err(fail)?.to_table(),
-        "coloring" => ext::coloring(p).map_err(fail)?.to_table(),
-        "timeline" => ext::timeline(p).map_err(fail)?.to_table(),
-        "writes" => ext::write_sweep(p).map_err(fail)?.to_table(),
-        "depth" => ext::depth_sweep(p).map_err(fail)?.to_table(),
-        "detail" => ext::detail(p).map_err(fail)?.to_table(),
-        "tail" => ext::tail_latency(p).map_err(fail)?.to_table(),
-        "wear" => ext::wear(p).map_err(fail)?.to_table(),
-        "policy" => ext::page_policy(p).map_err(fail)?.to_table(),
-        "mlp" => ext::mlp(p).map_err(fail)?.to_table(),
-        "cores" => ext::cores(p).map_err(fail)?.to_table(),
-        "hybrid" => ext::hybrid(p).map_err(fail)?.to_table(),
-        "reliability" => ext::reliability(p).map_err(|e| e.to_string())?.to_table(),
-        "reliability-horizon" => ext::reliability_horizon(p)
-            .map_err(|e| e.to_string())?
-            .to_table(),
-        other => return Err(format!("unknown snapshot {other:?}")),
-    };
-    Ok(table.to_csv())
+    let unknown = || format!("unknown snapshot {name:?}");
+    let run = match name.strip_suffix("-horizon") {
+        Some(command) => study::find(command).and_then(|s| s.horizon),
+        None => study::find(name).map(|s| s.run),
+    }
+    .ok_or_else(unknown)?;
+    let outcome = run(&golden_params()).map_err(|e| e.to_string())?;
+    Ok(outcome.table.to_csv())
 }
 
 /// Compares `actual` against the checked-in golden for `name`; with
@@ -173,5 +123,6 @@ mod tests {
     #[test]
     fn unknown_snapshot_is_rejected() {
         assert!(snapshot("fig9").is_err());
+        assert!(snapshot("fig4-horizon").is_err());
     }
 }

@@ -103,69 +103,6 @@ pub struct RunOutcome {
     pub reissued_writes: u64,
 }
 
-/// Runs `trace` with its first `warmup_ops` memory operations excluded
-/// from the measured statistics (standard region-of-interest methodology:
-/// the warmup populates row buffers, write queues, and prefetcher state,
-/// and only the remainder is measured).
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if either configuration is invalid, or if
-/// `warmup_ops >= trace.len()` (the warmup would consume the whole trace
-/// and leave nothing to measure).
-pub fn run_one_with_warmup(
-    trace: &Trace,
-    warmup_ops: usize,
-    config: &SystemConfig,
-    params: &ExperimentParams,
-) -> Result<RunOutcome, ConfigError> {
-    if warmup_ops >= trace.len() {
-        return Err(ConfigError::Invalid {
-            field: "warmup_ops",
-            reason: "warmup consumes the whole trace",
-        });
-    }
-    let records = trace.records();
-    let warmup = Trace::new(
-        format!("{}-warmup", trace.name()),
-        records[..warmup_ops].to_vec(),
-    );
-    let measured = Trace::new(trace.name(), records[warmup_ops..].to_vec());
-    let core = Core::new(params.core)?;
-    let mut memory = MemorySystem::new(*config)?;
-    memory.set_fast_forward(params.fast_forward);
-    let warm = core.run(&warmup, &mut memory);
-    let _ = warm;
-    let banks_before = memory.bank_stats();
-    let energy_before = memory.energy();
-    let result = core.run(&measured, &mut memory);
-    let banks = memory.bank_stats().minus(&banks_before);
-    let energy_after = memory.energy();
-    Ok(RunOutcome {
-        core: result,
-        energy: EnergyBreakdown {
-            sense_pj: energy_after.sense_pj - energy_before.sense_pj,
-            write_pj: energy_after.write_pj - energy_before.write_pj,
-            background_pj: energy_after.background_pj - energy_before.background_pj,
-        },
-        banks,
-        avg_read_latency: memory.stats().avg_read_latency(),
-        read_p50: memory.stats().read_latency_percentile(0.50),
-        read_p95: memory.stats().read_latency_percentile(0.95),
-        read_p99: memory.stats().read_latency_percentile(0.99),
-        avg_write_latency: memory.stats().avg_write_latency(),
-        write_p50: memory.stats().write_latency_percentile(0.50),
-        write_p95: memory.stats().write_latency_percentile(0.95),
-        write_p99: memory.stats().write_latency_percentile(0.99),
-        merged_writes: memory.stats().merged_writes,
-        forwarded_reads: memory.stats().forwarded_reads,
-        corrected_errors: memory.stats().corrected_errors,
-        uncorrectable_errors: memory.stats().uncorrectable_errors,
-        remapped_rows: memory.stats().remapped_rows,
-        reissued_writes: memory.stats().reissued_writes,
-    })
-}
-
 /// Runs one trace against one memory configuration.
 ///
 /// # Errors
@@ -208,7 +145,7 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// True while the current thread is a sweep worker. A job that starts
-    /// another sweep (a nested `run_configs` inside an experiment closure)
+    /// another sweep (a nested `run_grid` inside a study's job)
     /// runs it inline on its own worker instead of spawning a second pool:
     /// without the guard, N workers each spawning N more would
     /// oversubscribe the host quadratically — and re-reading the global
@@ -317,35 +254,12 @@ where
         .collect()
 }
 
-/// Runs one trace against several configurations in parallel, preserving
-/// configuration order in the result. Fan-out goes through the
-/// work-stealing pool of [`run_jobs`], capped at [`effective_jobs`]
-/// concurrent worker threads so a wide sweep cannot oversubscribe the
-/// host (override with [`set_jobs`] / `--jobs`).
-///
-/// # Errors
-///
-/// Returns the first [`ConfigError`] in configuration order.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn run_configs(
-    trace: &Trace,
-    configs: &[SystemConfig],
-    params: &ExperimentParams,
-) -> Result<Vec<RunOutcome>, ConfigError> {
-    run_jobs(configs, |_, config| run_one(trace, config, params))
-        .into_iter()
-        .collect()
-}
-
 /// Runs the full (trace × configuration) lattice through one
 /// work-stealing pool and returns `grid[trace_index][config_index]`.
 ///
-/// Unlike per-trace [`run_configs`] calls, the whole lattice shares one
-/// job pool: workers finishing one workload's cheap configurations steal
-/// the next workload's jobs instead of idling at a per-workload barrier.
+/// The whole lattice shares one job pool: workers finishing one
+/// workload's cheap configurations steal the next workload's jobs instead
+/// of idling at a per-workload barrier.
 /// Per-job determinism is unchanged — every job is a pure
 /// (trace, config, params) function, so the grid is bit-identical to
 /// nested serial loops.
@@ -415,43 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn warmup_excludes_cold_start_effects() {
-        let trace = profile("libquantum_like")
-            .unwrap()
-            .generate(Geometry::default(), 3, 1000);
-        let params = ExperimentParams::quick();
-        let cfg = SystemConfig::fgnvm(8, 2).unwrap();
-        let cold = run_one(&trace, &cfg, &params).unwrap();
-        let warm = run_one_with_warmup(&trace, 300, &cfg, &params).unwrap();
-        // The measured interval saw fewer operations than the full run...
-        assert!(warm.banks.reads < cold.banks.reads);
-        assert!(warm.energy.total_pj() < cold.energy.total_pj());
-        // ...and both produce sane IPC.
-        assert!(warm.core.ipc() > 0.0 && cold.core.ipc() > 0.0);
-    }
-
-    #[test]
-    fn warmup_larger_than_trace_is_rejected() {
-        let trace = profile("astar_like")
-            .unwrap()
-            .generate(Geometry::default(), 3, 100);
-        let err = run_one_with_warmup(
-            &trace,
-            100,
-            &SystemConfig::baseline(),
-            &ExperimentParams::quick(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            ConfigError::Invalid {
-                field: "warmup_ops",
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn fast_forward_is_bit_identical_at_run_level() {
         // The whole-run differential: every measured quantity — IPC,
         // energy, bank counters, latency statistics — must be unchanged
@@ -474,19 +351,19 @@ mod tests {
     #[test]
     fn jobs_cap_preserves_results_and_order() {
         let _cap = hold_jobs_cap();
-        let trace = profile("milc_like")
+        let trace = [profile("milc_like")
             .unwrap()
-            .generate(Geometry::default(), 5, 200);
+            .generate(Geometry::default(), 5, 200)];
         let params = ExperimentParams::quick();
         let configs = [
             SystemConfig::baseline(),
             SystemConfig::fgnvm(8, 2).unwrap(),
             SystemConfig::fgnvm(8, 8).unwrap(),
         ];
-        let wide = run_configs(&trace, &configs, &params).unwrap();
+        let wide = run_grid(&trace, &configs, &params).unwrap();
         set_jobs(1); // serialize: every wave is one config
         assert_eq!(effective_jobs(), 1);
-        let narrow = run_configs(&trace, &configs, &params).unwrap();
+        let narrow = run_grid(&trace, &configs, &params).unwrap();
         set_jobs(0);
         assert!(effective_jobs() >= 1);
         assert_eq!(wide, narrow, "the jobs cap must not change outcomes");
@@ -580,21 +457,11 @@ mod tests {
         set_jobs(0);
         assert_eq!(grid.len(), traces.len());
         for (trace, row) in traces.iter().zip(&grid) {
-            let reference = run_configs(trace, &configs, &params).unwrap();
-            assert_eq!(row, &reference, "lattice diverged from per-trace runs");
+            let reference: Vec<RunOutcome> = configs
+                .iter()
+                .map(|config| run_one(trace, config, &params).unwrap())
+                .collect();
+            assert_eq!(row, &reference, "lattice diverged from serial runs");
         }
-    }
-
-    #[test]
-    fn run_configs_matches_run_one() {
-        let trace = profile("milc_like")
-            .unwrap()
-            .generate(Geometry::default(), 3, 300);
-        let params = ExperimentParams::quick();
-        let configs = [SystemConfig::baseline(), SystemConfig::fgnvm(8, 2).unwrap()];
-        let grid = run_configs(&trace, &configs, &params).unwrap();
-        let single = run_one(&trace, &configs[1], &params).unwrap();
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid[1].core, single.core);
     }
 }

@@ -167,28 +167,14 @@ fn core_stall_accounting_is_bounded() {
 
 #[test]
 fn every_extension_study_renders_a_table() {
-    use fgnvm_sim::extensions;
     let params = ExperimentParams {
         ops: 400,
         ..ExperimentParams::quick()
     };
-    let tables = vec![
-        extensions::dimensions(&params).unwrap().to_table(),
-        extensions::schedulers(&params).unwrap().to_table(),
-        extensions::mappings(&params).unwrap().to_table(),
-        extensions::technology(&params).unwrap().to_table(),
-        extensions::pausing(&params).unwrap().to_table(),
-        extensions::scaling(&params).unwrap().to_table(),
-        extensions::cells(&params).unwrap().to_table(),
-        extensions::multiprogrammed(&params).unwrap().to_table(),
-        extensions::coloring(&params).unwrap().to_table(),
-        extensions::timeline(&params).unwrap().to_table(),
-        extensions::write_sweep(&params).unwrap().to_table(),
-        extensions::depth_sweep(&params).unwrap().to_table(),
-        extensions::cores(&params).unwrap().to_table(),
-        extensions::hybrid(&params).unwrap().to_table(),
-    ];
-    for table in tables {
+    for study in &fgnvm_sim::STUDIES {
+        let table = (study.run)(&params)
+            .unwrap_or_else(|e| panic!("{}: {e}", study.command))
+            .table;
         assert!(table.row_count() > 0, "{} is empty", table.title());
         // Every output format renders without panicking.
         let _ = table.render();

@@ -3,7 +3,7 @@
 //! acceptance criteria of the reproduction (see DESIGN.md §5).
 
 use fgnvm_model::area::AreaModel;
-use fgnvm_sim::experiment::{fig4_with_profiles, fig5_with_profiles};
+use fgnvm_sim::experiment::{fig4, fig5};
 use fgnvm_sim::runner::ExperimentParams;
 use fgnvm_workloads::{all_profiles, profile, Profile};
 
@@ -25,8 +25,13 @@ fn shape_profiles() -> Vec<Profile> {
 
 #[test]
 fn figure4_shape() {
-    let result = fig4_with_profiles(&params(), &shape_profiles()).unwrap();
-    let (fgnvm, many, multi) = result.gmeans();
+    let result = fig4(&shape_profiles(), &params()).unwrap();
+    let gmean = |column| result.get(&["gmean"], column).unwrap();
+    let (fgnvm, many, multi) = (
+        gmean("FgNVM"),
+        gmean("128 banks"),
+        gmean("FgNVM+Multi-Issue"),
+    );
     // Everything beats (or ties) the baseline on average.
     assert!(fgnvm > 1.0, "fgnvm gmean {fgnvm}");
     assert!(many > 1.0, "many banks gmean {many}");
@@ -40,14 +45,15 @@ fn figure4_shape() {
     );
     // Memory-intensive streaming workloads benefit more than pointer
     // chasers (visible in the paper's per-benchmark bars).
-    let by_name = |n: &str| result.rows.iter().find(|r| r.workload == n).unwrap();
-    assert!(by_name("lbm_like").fgnvm >= by_name("mcf_like").fgnvm * 0.95);
+    let by_name = |n| result.get(&[n], "FgNVM").unwrap();
+    assert!(by_name("lbm_like") >= by_name("mcf_like") * 0.95);
 }
 
 #[test]
 fn figure5_shape() {
-    let result = fig5_with_profiles(&params(), &shape_profiles()).unwrap();
-    let (e2, e8, e32, perfect) = result.means();
+    let result = fig5(&shape_profiles(), &params()).unwrap();
+    let mean = |column| result.get(&["mean"], column).unwrap();
+    let (e2, e8, e32, perfect) = (mean("8x2"), mean("8x8"), mean("8x32"), mean("8x32 Perfect"));
     // Strict ordering: more column divisions, less energy; Perfect is the
     // floor; everything saves vs baseline.
     assert!(e2 < 1.0, "8x2 mean {e2}");
