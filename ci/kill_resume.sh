@@ -6,8 +6,9 @@
 # Runs the same deterministic serve three times:
 #   1. an uninterrupted reference, writing PREFIX-ref.*;
 #   2. a leg checkpointing every CHECKPOINT_EVERY cycles into PREFIX-ckpts/,
-#      SIGKILLed KILL_AFTER seconds in (write-then-rename keeps the newest
-#      checkpoint complete);
+#      SIGKILLed as soon as KILL_AFTER checkpoints exist (write-then-rename
+#      keeps the newest checkpoint complete); the script fails if this leg
+#      exits on its own first, since then no kill was tested;
 #   3. a leg resumed from the newest checkpoint, writing PREFIX-resumed.*.
 # OUTPUTS is a comma-separated list of FLAG:EXT pairs; each leg gets
 # `--FLAG PREFIX-<leg>.EXT`. The resumed leg must reproduce the reference:
@@ -21,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 5 ] || [ "$5" != "--" ]; then
-  sed -n '2,19p' "$0" >&2
+  sed -n '2,21p' "$0" >&2
   exit 2
 fi
 prefix=$1 kill_after=$2 every=$3
@@ -45,10 +46,20 @@ mapfile -t resumed < <(leg_outputs resumed)
 mkdir -p "$prefix-ckpts"
 "$bin" "$@" --checkpoint-every "$every" --checkpoint-dir "$prefix-ckpts" "${killed[@]}" &
 pid=$!
-sleep "$kill_after"
+# The shell reaps the leg when it exits, so `kill -0` fails from then on.
+while [ "$(ls "$prefix-ckpts"/ckpt-*.ckpt 2>/dev/null | wc -l)" -lt "$kill_after" ] \
+  && kill -0 "$pid" 2>/dev/null; do
+  sleep 0.02
+done
 kill -9 "$pid" 2>/dev/null || true
-wait "$pid" 2>/dev/null || true
+status=0
+wait "$pid" 2>/dev/null || status=$?
 ls -l "$prefix-ckpts"
+if [ "$status" -ne 137 ]; then
+  echo "the checkpointing leg exited on its own (status $status) before" \
+    "checkpoint $kill_after: no kill was tested" >&2
+  exit 1
+fi
 latest=$(ls "$prefix-ckpts"/ckpt-*.ckpt 2>/dev/null | sort | tail -1 || true)
 if [ -z "$latest" ]; then
   echo "no checkpoint survived the kill" >&2

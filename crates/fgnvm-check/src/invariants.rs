@@ -117,45 +117,31 @@ pub fn check_span_sums(observer: &Observer) -> InvariantReport {
 
 /// Attribution conservation: per request, the stall-taxonomy buckets sum
 /// **exactly** to end-to-end latency, and the per-class aggregates agree
-/// with both the per-request records and the controller's independent
+/// with the controller's independent
 /// [`SystemStats`](fgnvm_mem::SystemStats) (completed counts and latency
-/// totals). Also rejects unclassified command kinds and taxonomy buckets
-/// that are illegal for the run (tFAW cycles without DRAM, verify-retry
-/// cycles on reads). Assumes the observer was attached before the first
+/// totals). The tracker checks the per-request equality, and that no read
+/// carries verify-retry cycles, as each record folds; this reads its exact
+/// tallies. Also rejects unclassified command kinds and tFAW cycles
+/// without DRAM. Assumes the observer was attached before the first
 /// request.
 pub fn check_attribution(observer: &Observer, stats: &fgnvm_mem::SystemStats) -> InvariantReport {
     let mut report = InvariantReport::default();
     report.checked.push("attribution-conservation");
     let attr = &observer.attribution;
-    let mut bad = 0usize;
-    for r in &attr.requests {
-        let latency = r.completion - r.arrival;
-        if r.attributed() != latency {
-            bad += 1;
-            if bad <= 3 {
-                report.failures.push(format!(
-                    "attribution leak: request {} attributed {} cycles but lived {} \
-                     (arrival {}, completion {})",
-                    r.id,
-                    r.attributed(),
-                    latency,
-                    r.arrival,
-                    r.completion
-                ));
-            }
-        }
-        if r.is_read && r.cycles[StallCause::VerifyRetry as usize] != 0 {
-            report.failures.push(format!(
-                "attribution legality: read {} carries {} verify-retry cycles",
-                r.id,
-                r.cycles[StallCause::VerifyRetry as usize]
-            ));
-        }
+    let first = attr
+        .first_offense
+        .map_or_else(String::new, |r| format!("; first: {r:?}"));
+    if attr.leaks > 0 {
+        report.failures.push(format!(
+            "attribution leak: {} request(s) attributed a cycle count other than their lifetime{first}",
+            attr.leaks
+        ));
     }
-    if bad > 3 {
-        report
-            .failures
-            .push(format!("attribution leak: {bad} requests total"));
+    if attr.illegal_reads > 0 {
+        report.failures.push(format!(
+            "attribution legality: {} read(s) carry verify-retry cycles{first}",
+            attr.illegal_reads
+        ));
     }
     for (class, totals, completed, latency) in [
         (
@@ -171,17 +157,11 @@ pub fn check_attribution(observer: &Observer, stats: &fgnvm_mem::SystemStats) ->
             stats.write_latency_total.raw(),
         ),
     ] {
-        let per_request: u64 = attr
-            .requests
-            .iter()
-            .filter(|r| r.is_read == (class == "read"))
-            .map(|r| r.attributed())
-            .sum();
         let aggregated: u64 = totals.cycles.iter().sum();
-        if aggregated != per_request || aggregated != totals.total {
+        if aggregated != totals.total {
             report.failures.push(format!(
                 "attribution aggregate drift ({class}s): buckets sum to {aggregated}, \
-                 per-request records to {per_request}, totals counter says {}",
+                 totals counter says {}",
                 totals.total
             ));
         }
@@ -792,6 +772,44 @@ mod tests {
                 .iter()
                 .any(|f| f.contains("attribution vs controller (writes)")),
             "{report}"
+        );
+    }
+
+    #[test]
+    fn completion_time_tallies_fail_the_attribution_check() {
+        let (memory, mut obs) = run_with_telemetry();
+        assert_eq!(
+            (obs.attribution.leaks, obs.attribution.illegal_reads),
+            (0, 0)
+        );
+        assert!(obs.attribution.first_offense.is_none());
+        let fails = |obs: &Observer, what: &str| {
+            check_attribution(obs, memory.stats())
+                .failures
+                .iter()
+                .any(|f| f.contains(what))
+        };
+        // Only the tally moves: every aggregate and the controller still
+        // balance, so the tally alone must fail the run.
+        obs.attribution.leaks += 1;
+        assert!(fails(&obs, "attribution leak"));
+        assert!(!fails(&obs, "attribution legality"));
+        obs.attribution.leaks -= 1;
+        obs.attribution.illegal_reads += 1;
+        assert!(fails(&obs, "attribution legality"));
+        assert!(!fails(&obs, "attribution leak"));
+    }
+
+    #[test]
+    fn attribution_json_counts_completed_reads_and_writes() {
+        let (memory, obs) = run_with_telemetry();
+        let stats = memory.stats();
+        let want = stats.completed_reads + stats.completed_writes;
+        assert!(stats.completed_reads > 0 && stats.completed_writes > 0);
+        let json = obs.attribution.to_json();
+        assert!(
+            json.starts_with(&format!("{{\"requests\":{want},")),
+            "{json}"
         );
     }
 

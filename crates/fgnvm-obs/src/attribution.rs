@@ -18,8 +18,9 @@
 //!
 //! The decomposition is a *partition* of `[arrival, completion)` — buckets
 //! sum **exactly** to the end-to-end latency, by construction, for every
-//! request. `fgnvm-check` enforces this as a conservation invariant and
-//! cross-checks the totals against the controller's independent latency
+//! request. The tracker checks it as each record folds, keeping tallies of
+//! offenders rather than records, and `fgnvm-check` fails a run on any
+//! offense and cross-checks the totals against the controller's latency
 //! counters. The same open record carries the issue marks the
 //! five-component [`Spans`] breakdown is folded from, so a request costs
 //! one map entry.
@@ -307,8 +308,12 @@ pub struct Attribution {
     pub reads: ClassTotals,
     /// Aggregate over completed writes.
     pub writes: ClassTotals,
-    /// Per-request records, in completion order.
-    pub requests: Vec<RequestAttribution>,
+    /// Completed requests whose buckets did not sum to their lifetime.
+    pub leaks: u64,
+    /// Completed reads carrying verify-retry cycles (only writes retry).
+    pub illegal_reads: u64,
+    /// The first record counted in `leaks` or `illegal_reads`.
+    pub first_offense: Option<RequestAttribution>,
     /// Five-component span breakdowns, folded from the same open records.
     pub spans: Spans,
     /// Commands whose plan-kind label the taxonomy did not recognize.
@@ -464,12 +469,11 @@ impl Attribution {
         self.prune(cmd.at);
     }
 
-    /// Hook: request `id` completed at `now`. Attributes the tail and folds
-    /// the finished record into the aggregates.
-    pub fn on_completed(&mut self, id: u64, now: u64) {
-        let Some(mut r) = self.open.remove(&id) else {
-            return;
-        };
+    /// Hook: request `id` completed at `now`. Attributes the tail, tallies
+    /// the finished record if it is an offense, folds it into the
+    /// aggregates and returns it (`None` for an id never enqueued).
+    pub fn on_completed(&mut self, id: u64, now: u64) -> Option<RequestAttribution> {
+        let mut r = self.open.remove(&id)?;
         let tail = now.saturating_sub(r.mark);
         if r.issues == 0 {
             // Satisfied without touching the array (store-to-load forward,
@@ -499,12 +503,20 @@ impl Attribution {
             (r.issues > 0).then_some(&r.marks),
             now,
         );
+        let leak = record.attributed() != record.completion - record.arrival;
+        let illegal = r.is_read && record.cycles[StallCause::VerifyRetry as usize] != 0;
+        self.leaks += u64::from(leak);
+        self.illegal_reads += u64::from(illegal);
+        self.first_offense = self.first_offense.or((leak || illegal).then_some(record));
         if r.is_read {
             self.reads.fold(&record);
         } else {
             self.writes.fold(&record);
         }
-        self.requests.push(record);
+        if self.open.is_empty() {
+            self.prune(now);
+        }
+        Some(record)
     }
 
     /// Requests currently in flight.
@@ -535,8 +547,8 @@ impl Attribution {
     }
 
     /// Serialize the full tracker state — open requests, command-history
-    /// windows, activation history, aggregates, and the per-request records
-    /// — into a checkpoint. `params` are *not* written: they are static
+    /// windows, activation history, aggregates, and the offense tallies —
+    /// into a checkpoint. `params` are *not* written: they are static
     /// model facts rebuilt from the configuration at restore time.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("attr");
@@ -599,8 +611,10 @@ impl Attribution {
                 w.u64(*d);
             }
         }
-        w.usize(self.requests.len());
-        for rec in &self.requests {
+        w.u64(self.leaks);
+        w.u64(self.illegal_reads);
+        w.bool(self.first_offense.is_some());
+        if let Some(rec) = &self.first_offense {
             w.u64(rec.id);
             w.bool(rec.is_read);
             w.u32(u32::from(rec.tenant));
@@ -699,9 +713,10 @@ impl Attribution {
                 *d = r.u64()?;
             }
         }
-        let n = r.usize()?;
-        self.requests = Vec::with_capacity(n);
-        for _ in 0..n {
+        self.leaks = r.u64()?;
+        self.illegal_reads = r.u64()?;
+        self.first_offense = None;
+        if r.bool()? {
             let id = r.u64()?;
             let is_read = r.bool()?;
             let tenant = r.u32()? as u16;
@@ -711,7 +726,7 @@ impl Attribution {
             for c in &mut cycles {
                 *c = r.u64()?;
             }
-            self.requests.push(RequestAttribution {
+            self.first_offense = Some(RequestAttribution {
                 id,
                 is_read,
                 tenant,
@@ -728,9 +743,12 @@ impl Attribution {
     /// Drops history that can no longer affect any in-flight request: a
     /// window whose occupancy ended before every open request's mark (or
     /// before `now`, when nothing is open) can never cover a future wait.
+    /// Amortized: runs once some per-bank list outgrows a fixed bound, or
+    /// whenever nothing is open (so a drained checkpoint carries none).
     fn prune(&mut self, now: u64) {
         const KEEP: usize = 96;
-        let over = self.windows.values().any(|v| v.len() > KEEP)
+        let over = self.open.is_empty()
+            || self.windows.values().any(|v| v.len() > KEEP)
             || self.acts.values().any(|v| v.len() > KEEP);
         if !over {
             return;
@@ -765,7 +783,7 @@ impl Attribution {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"requests\":{},\"unclassified\":{},\"open\":{},\"read\":{},\"write\":{}}}",
-            self.requests.len(),
+            self.reads.count + self.writes.count,
             self.unclassified,
             self.open.len(),
             self.reads.to_json(),
@@ -1107,8 +1125,7 @@ mod tests {
         let mut a = Attribution::new(AttributionParams::bare(4, 4));
         a.on_enqueued(1, true, 0, 100);
         a.on_command(&cmd(1, 110));
-        a.on_completed(1, 148);
-        let r = &a.requests[0];
+        let r = a.on_completed(1, 148).expect("open request");
         assert_eq!(r.attributed(), 48);
         assert_eq!(r.cycles[StallCause::QueueWait as usize], 10);
         assert_eq!(r.cycles[StallCause::Service as usize], 38);
@@ -1122,8 +1139,7 @@ mod tests {
         a.on_enqueued(2, true, 0, 10);
         a.on_command(&cmd(2, 60)); // same sag, waited 10..60
         a.on_completed(1, 38);
-        a.on_completed(2, 98);
-        let r2 = a.requests.iter().find(|r| r.id == 2).unwrap();
+        let r2 = a.on_completed(2, 98).expect("open request");
         assert_eq!(r2.attributed(), 88);
         // Blocked by command 1's window [0,50): 40 cycles of SAG conflict,
         // then 10 cycles of plain queueing until issue at 60.
@@ -1142,8 +1158,7 @@ mod tests {
         a.on_command(&w);
         a.on_enqueued(2, true, 0, 0);
         a.on_command(&cmd(2, 200));
-        a.on_completed(2, 238);
-        let r2 = a.requests.iter().find(|r| r.id == 2).unwrap();
+        let r2 = a.on_completed(2, 238).expect("open request");
         assert_eq!(r2.cycles[StallCause::WriteBlock as usize], 200);
         assert_eq!(r2.attributed(), 238);
     }
@@ -1156,8 +1171,7 @@ mod tests {
         c.data_start = c.earliest_data + 6; // bus pushed the burst 6 late
         c.data_end = c.data_start + 8;
         a.on_command(&c);
-        a.on_completed(3, c.data_end);
-        let r = &a.requests[0];
+        let r = a.on_completed(3, c.data_end).expect("open request");
         assert_eq!(r.cycles[StallCause::GlobalIo as usize], 6);
         assert_eq!(r.attributed(), c.data_end);
     }
@@ -1171,8 +1185,7 @@ mod tests {
         let mut c = cmd(4, 0);
         c.kind = "underfetch";
         a.on_command(&c);
-        a.on_completed(4, c.data_end);
-        let r = &a.requests[0];
+        let r = a.on_completed(4, c.data_end).expect("open request");
         assert_eq!(r.cycles[StallCause::UnderfetchResense as usize], 22);
         // 30 pre-burst − 22 carved + 8 burst.
         assert_eq!(r.cycles[StallCause::Service as usize], 16);
@@ -1190,10 +1203,42 @@ mod tests {
         c.retries = 2;
         c.completion = c.data_end + 120; // (1+2)·tWP
         a.on_command(&c);
-        a.on_completed(5, c.completion);
-        let r = &a.requests[0];
+        let r = a.on_completed(5, c.completion).expect("open request");
         assert_eq!(r.cycles[StallCause::VerifyRetry as usize], 80);
         assert_eq!(r.attributed(), c.completion);
+    }
+
+    #[test]
+    fn offenses_are_tallied_as_records_fold() {
+        let mut a = Attribution::new(AttributionParams::bare(4, 4));
+        assert!(a.on_completed(9, 10).is_none(), "unknown id");
+        a.on_enqueued(1, true, 0, 0);
+        a.on_command(&cmd(1, 0));
+        // A read that re-issues books the bounce as verify-retry cycles.
+        a.on_command(&cmd(1, 50));
+        a.on_completed(1, 88);
+        // Completing before its burst ended leaves the record
+        // over-attributed: a leak.
+        a.on_enqueued(2, true, 0, 100);
+        a.on_command(&cmd(2, 100));
+        a.on_completed(2, 120);
+        a.on_enqueued(3, true, 0, 200);
+        a.on_command(&cmd(3, 200));
+        a.on_completed(3, 238);
+        assert_eq!((a.leaks, a.illegal_reads), (1, 1));
+        let first = a.first_offense.expect("an offense was counted");
+        assert_eq!(first.id, 1);
+        assert!(a.to_json().starts_with("{\"requests\":3,"));
+
+        let mut w = fgnvm_types::SnapshotWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.finish();
+        let mut restored = Attribution::new(AttributionParams::bare(4, 4));
+        let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+        restored.load_state(&mut r).expect("decodes");
+        assert_eq!((restored.leaks, restored.illegal_reads), (1, 1));
+        assert_eq!(restored.first_offense.map(|r| r.id), Some(1));
+        assert_eq!(restored.to_json(), a.to_json());
     }
 
     #[test]

@@ -292,22 +292,18 @@ impl Observer {
 
     /// Hook: a request completed (or was satisfied without issuing).
     pub fn on_completed(&mut self, id: u64, now: u64) {
-        let before = self.attribution.requests.len();
-        self.attribution.on_completed(id, now);
-        if let Some(ts) = &mut self.timeseries {
-            // The attribution tracker just pushed this request's finished
-            // record (unless the id was unknown); its latency is exactly
-            // the cumulative-stats latency, which the window-vs-cumulative
-            // conservation invariant relies on.
-            if let Some(rec) = self.attribution.requests.get(before) {
-                ts.record_completion(
-                    rec.is_read,
-                    rec.tenant,
-                    rec.completion - rec.arrival,
-                    &rec.cycles,
-                    now,
-                );
-            }
+        let rec = self.attribution.on_completed(id, now);
+        if let (Some(ts), Some(rec)) = (&mut self.timeseries, rec) {
+            // The finished record's latency is exactly the cumulative-stats
+            // latency, which the window-vs-cumulative conservation
+            // invariant relies on.
+            ts.record_completion(
+                rec.is_read,
+                rec.tenant,
+                rec.completion - rec.arrival,
+                &rec.cycles,
+                now,
+            );
         }
     }
 

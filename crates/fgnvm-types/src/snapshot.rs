@@ -47,7 +47,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FGNVMCK1";
 /// breakdown lost its own open-request table: each open attribution record
 /// carries the issue marks instead, and the span counters and histograms
 /// follow the attribution section.
-pub const SNAPSHOT_VERSION: u32 = 5;
+///
+/// v6: the attribution section swapped its completed-request records for
+/// the offense tallies and the first offending record.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded.
 ///
@@ -532,17 +535,23 @@ mod tests {
             SnapshotError::BadMagic
         );
 
-        let mut w = SnapshotWriter::new();
-        w.u32(1);
-        let mut bytes = w.finish();
-        bytes[8] = 0xfe; // version byte
-        let len = bytes.len();
-        let sum = fnv1a64(&bytes[..len - 8]);
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            SnapshotReader::new(&bytes),
-            Err(SnapshotError::BadVersion { .. })
-        ));
+        // A garbage version and the previous format's are both refused.
+        for found in [0xfe, SNAPSHOT_VERSION - 1] {
+            let mut w = SnapshotWriter::new();
+            w.u32(1);
+            let mut bytes = w.finish();
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            let len = bytes.len();
+            let sum = fnv1a64(&bytes[..len - 8]);
+            bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                SnapshotReader::new(&bytes).unwrap_err(),
+                SnapshotError::BadVersion {
+                    found,
+                    supported: SNAPSHOT_VERSION
+                }
+            );
+        }
     }
 
     #[test]

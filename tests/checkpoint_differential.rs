@@ -140,6 +140,62 @@ fn crash_restore(mem: &mut MemorySystem) {
     *mem = MemorySystem::restore(config, &blob).expect("own snapshot restores");
 }
 
+/// Observer state must not grow with completed requests. One system with
+/// serve's sinks (observer, telemetry, audit) takes a steady stream; its
+/// drained snapshot after ~20k completions must be the size of the one
+/// after ~2k. The first snapshot waits for the telemetry ring to fill, so
+/// only per-request retention could make the second one larger.
+#[test]
+fn drained_checkpoint_size_is_flat_over_completed_requests() {
+    const RETENTION: usize = 16;
+    let config = SystemConfig::fgnvm(8, 2).unwrap();
+    let mut mem = MemorySystem::new(config).expect("config admissible");
+    mem.set_fast_forward(true);
+    mem.enable_observer();
+    mem.enable_telemetry(1024, RETENTION, 256);
+    mem.enable_audit();
+    let line_bytes = u64::from(config.geometry.line_bytes());
+    let mut completions: Vec<Completion> = Vec::new();
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut drained_size_at = |completed: u64, mem: &mut MemorySystem| {
+        let done = |mem: &MemorySystem| mem.stats().completed_reads + mem.stats().completed_writes;
+        while done(mem) < completed {
+            let op = if next() % 3 == 0 { Op::Write } else { Op::Read };
+            let _ = mem.enqueue(op, PhysAddr::new(next() % 4096 * line_bytes));
+            let target = Cycle::new(mem.now().raw() + next() % 25);
+            mem.tick_to(target, &mut completions);
+        }
+        while !mem.is_idle() {
+            let target = Cycle::new(mem.now().raw() + 4096);
+            mem.tick_to(target, &mut completions);
+        }
+        completions.clear();
+        mem.save_snapshot().len()
+    };
+    let early = drained_size_at(2_000, &mut mem);
+    let windows = mem
+        .observer()
+        .and_then(|o| o.timeseries())
+        .map(|ts| ts.windows().count());
+    assert_eq!(
+        windows,
+        Some(RETENTION),
+        "telemetry ring must be full first"
+    );
+    let late = drained_size_at(20_000, &mut mem);
+    assert!(
+        late.abs_diff(early) * 100 <= early,
+        "checkpoint grew from {early} to {late} bytes over ~18k completed requests"
+    );
+}
+
 #[test]
 fn resume_is_bit_identical_for_every_config_and_stepping_mode() {
     for (name, config) in all_configs() {
