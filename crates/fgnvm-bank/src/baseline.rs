@@ -261,19 +261,24 @@ impl Bank for BaselineBank {
         &self.stats
     }
 
-    fn next_ready_hint(&self, now: Cycle) -> Cycle {
+    fn ready_at(&self) -> Cycle {
         // Tight bound: mirror exactly the gates `plan` applies. With a row
         // open, a same-row access waits for the column path and a row switch
         // waits for quiesce + tRP; with no row open every access takes the
         // row-switch path. The minimum over those is the earliest instant at
         // which *some* access could issue, and no access can issue sooner.
         let row_switch = self.quiesce + self.timing.t_rp;
-        let earliest = if self.open_row.is_some() {
+        if self.open_row.is_some() {
             self.column_ready().min(row_switch)
         } else {
             row_switch
-        };
-        earliest.max(now)
+        }
+    }
+
+    fn stable_verdicts(&self) -> bool {
+        // `plan` compares `now` against one state-derived instant and
+        // reports that instant as `retry_at`.
+        true
     }
 
     fn plan_class(&self, access: &Access) -> u128 {

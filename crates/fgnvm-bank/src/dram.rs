@@ -286,8 +286,14 @@ impl Bank for DramBank {
         &self.stats
     }
 
-    fn next_ready_hint(&self, now: Cycle) -> Cycle {
-        self.column_ready().min(self.row_switch_ready()).max(now)
+    fn ready_at(&self) -> Cycle {
+        self.column_ready().min(self.row_switch_ready())
+    }
+
+    fn stable_verdicts(&self) -> bool {
+        // A refresh window can open before a blocked access's `retry_at`
+        // and block it until the window ends instead.
+        false
     }
 
     fn plan_class(&self, access: &Access) -> u128 {

@@ -112,10 +112,10 @@ impl TryFrom<BankModel> for Modes {
 
 /// Per-subarray-group FSM state (the row-address latch plus sensing
 /// bookkeeping) in struct-of-arrays layout: each field is a parallel array
-/// indexed by SAG. The fast-forward hot loops — the `next_ready_hint`
-/// min-lock sweep and the controller's gate pre-check behind it — scan one
-/// field across *all* SAGs, so packing each field contiguously keeps those
-/// sweeps on dense cache lines instead of striding through per-SAG records.
+/// indexed by SAG. The `ready_at` min-lock sweep that follows every commit
+/// scans one field across *all* SAGs, so packing each field contiguously
+/// keeps it on dense cache lines instead of striding through per-SAG
+/// records.
 #[derive(Debug, Clone)]
 struct SagArena {
     /// Row selected by each SAG's wordline, if any.
@@ -753,28 +753,37 @@ impl Bank for FgnvmBank {
         &self.stats
     }
 
-    fn next_ready_hint(&self, now: Cycle) -> Cycle {
+    fn ready_at(&self) -> Cycle {
         // A lower bound on the earliest instant at which *any* access could
         // issue, built from the gates `plan` applies to every access:
         // `serial_until`, `write_block_until`, and (when the column path is
-        // shared) `next_col` gate unconditionally, so the hint may sit at
+        // shared) `next_col` gate unconditionally, so the bound may sit at
         // their max. Per-resource gates differ per access, so only the min
         // across a resource class may be added.
-        let mut hint = self.serial_until.max(self.write_block_until);
+        let mut ready = self.serial_until.max(self.write_block_until);
         if self.shared_column_path {
-            hint = hint.max(self.next_col);
+            ready = ready.max(self.next_col);
         }
         if !self.write_pausing {
             // Without write pausing every access also waits on its SAG's
             // write lock and its CDs' I/O; the min over each class bounds
             // every concrete access from below. With pausing enabled a read
             // may bypass both (that is the point of the pause), so neither
-            // may raise the hint.
+            // may raise the bound.
             let min_lock = self.sags.lock.iter().copied().min().unwrap_or(Cycle::ZERO);
             let min_io = self.cd_io_free.iter().copied().min().unwrap_or(Cycle::ZERO);
-            hint = hint.max(min_lock).max(min_io);
+            ready = ready.max(min_lock).max(min_io);
         }
-        hint.max(now)
+        ready
+    }
+
+    fn stable_verdicts(&self) -> bool {
+        // Every gate is a state-derived instant and a blocked plan reports
+        // the latest one. Write pausing is the exception: a read may pause
+        // a write only while more than `PAUSE_MIN_REMAINING` of it remains,
+        // so a blocked pausing read can later be blocked by the SAG lock
+        // it was allowed to skip.
+        !self.write_pausing
     }
 
     fn plan_class(&self, access: &Access) -> u128 {

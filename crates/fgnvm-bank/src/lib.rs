@@ -108,16 +108,28 @@ pub trait Bank: std::fmt::Debug + Send {
     fn stats(&self) -> &BankStats;
 
     /// A lower bound on the earliest instant at which *some* access could
-    /// become issuable.
+    /// become issuable, derived from bank state alone (only a `commit` or a
+    /// checkpoint restore moves it).
     ///
     /// Contract (the fast-forward core and the schedulers rely on it): for
-    /// every access `a` and instant `t ≥ now`, if `plan(a, t)` succeeds then
-    /// `next_ready_hint(now) ≤ t`. Equivalently the hint never points past
-    /// a cycle at which work could issue — in particular, if anything is
-    /// issuable at `now` the hint is exactly `now`. A hint *earlier* than
-    /// the true next issuable cycle is merely less efficient (the caller
-    /// re-polls); a hint later than it would skip real work and is a bug.
-    fn next_ready_hint(&self, now: Cycle) -> Cycle;
+    /// every access `a` and instant `t`, if `plan(a, t)` succeeds then
+    /// `ready_at() ≤ t`. A bound *earlier* than the true next issuable
+    /// cycle is merely less efficient (the caller re-plans); a bound later
+    /// than it would skip real work and is a bug.
+    fn ready_at(&self) -> Cycle;
+
+    /// Whether a blocked verdict holds until its retry instant: if
+    /// `plan(a, t0)` returns `Err(b)`, then `plan(a, t)` returns the same
+    /// `Err(b)` for every `t` in `[t0, b.retry_at)` as long as nothing
+    /// commits in between.
+    ///
+    /// The controller keeps a per-bank issue bound later than
+    /// [`ready_at`](Bank::ready_at) — the smallest `retry_at` over the
+    /// bank's queued accesses — only for banks that declare this; a
+    /// model whose verdicts depend on the query time in other ways (a
+    /// refresh window opening, a pause opportunity running out) must
+    /// return `false`, or the calendar would report a stale `retry_at`.
+    fn stable_verdicts(&self) -> bool;
 
     /// A plan-equivalence class for `access`: two accesses with equal keys
     /// are guaranteed to receive identical [`plan`](Bank::plan) results at

@@ -10,11 +10,17 @@
 //!   overlap (one wordline per SAG);
 //! * a blocked access always becomes issuable by following the retry hints
 //!   (no livelock);
-//! * statistics counters are consistent with the committed operations.
+//! * statistics counters are consistent with the committed operations;
+//! * a bank that declares stable verdicts keeps every blocked verdict until
+//!   its retry instant — and the two models that do not (DRAM, write
+//!   pausing) have concrete counterexamples.
 
 use proptest::prelude::*;
 
-use fgnvm_bank::{Access, Bank, BaselineBank, FgnvmBank, Modes, PlanKind};
+use fgnvm_bank::{
+    Access, Bank, BaselineBank, BlockReason, DramBank, FgnvmBank, Modes, PlanKind, RefreshCycles,
+    PAUSE_MIN_REMAINING,
+};
 use fgnvm_types::address::TileCoord;
 use fgnvm_types::geometry::Geometry;
 use fgnvm_types::request::Op;
@@ -80,10 +86,22 @@ fn step_strategy(rows: u32, lines: u32) -> impl Strategy<Value = Step> {
 /// Drives a sequence of steps through the bank, following retry hints, and
 /// returns the footprints of every committed operation.
 fn drive(bank: &mut dyn Bank, geom: &Geometry, steps: &[Step]) -> Vec<Footprint> {
+    drive_probing(bank, geom, steps, |_, _, _| {})
+}
+
+/// [`drive`], calling `probe(bank, now, i)` just before step `i` is first
+/// planned.
+fn drive_probing(
+    bank: &mut dyn Bank,
+    geom: &Geometry,
+    steps: &[Step],
+    mut probe: impl FnMut(&dyn Bank, Cycle, usize),
+) -> Vec<Footprint> {
     let mut now = Cycle::ZERO;
     let mut footprints = Vec::new();
-    for step in steps {
+    for (i, step) in steps.iter().enumerate() {
         now += CycleCount::new(step.delay);
+        probe(&*bank, now, i);
         let op = if step.is_write { Op::Write } else { Op::Read };
         let access = make_access(geom, op, step.row, step.line);
         // Follow retry hints until issuable; bounded to detect livelock.
@@ -278,6 +296,157 @@ proptest! {
             }
         }
     }
+}
+
+/// Asserts that `access`'s verdict at `t0`, if blocked, repeats unchanged at
+/// every instant up to its retry instant.
+fn assert_verdict_holds(name: &str, bank: &dyn Bank, access: &Access, t0: Cycle) {
+    let Err(blocked) = bank.plan(access, t0) else {
+        return;
+    };
+    for t in t0.raw()..blocked.retry_at.raw() {
+        let verdict = bank.plan(access, Cycle::new(t));
+        assert_eq!(
+            verdict,
+            Err(blocked),
+            "{name}: {access} blocked at {t0} as {blocked:?}, but planned {verdict:?} at cy{t}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Over random commit histories, every bank that declares stable
+    /// verdicts refuses each probed access the same way — same reason,
+    /// same retry instant — from the moment it is blocked until that retry
+    /// instant. The controller keeps a bank's issue bound at the smallest
+    /// such instant on exactly this promise.
+    #[test]
+    fn stable_verdicts_hold_until_retry(
+        steps in prop::collection::vec(step_strategy(64, 16), 1..24),
+        partial in any::<bool>(),
+        multi in any::<bool>(),
+        bg in any::<bool>(),
+        shared_column_path in any::<bool>(),
+    ) {
+        let timing = TimingConfig::paper_pcm().to_cycles().unwrap();
+        let modes = Modes {
+            partial_activation: partial,
+            multi_activation: multi,
+            background_writes: bg,
+        };
+        let mono = small_geometry(1, 1);
+        let tiled = small_4x4_geometry();
+        let fgnvm = || FgnvmBank::new(&tiled, timing, modes, shared_column_path).unwrap();
+        let dram_timing = TimingConfig::ddr3_like().to_cycles().unwrap();
+        // Refresh windows far more often than DDR3's, so short histories
+        // cross several.
+        let refresh = RefreshCycles {
+            t_refi: CycleCount::new(200),
+            t_rfc: CycleCount::new(30),
+            phase: CycleCount::new(50),
+            ..RefreshCycles::ddr3_like()
+        };
+        let models: Vec<(&str, &Geometry, Box<dyn Bank>)> = vec![
+            ("baseline", &mono, Box::new(BaselineBank::new(&mono, timing))),
+            ("fgnvm", &tiled, Box::new(fgnvm())),
+            ("fgnvm pausing", &tiled, Box::new(fgnvm().with_write_pausing(true))),
+            (
+                "dram",
+                &mono,
+                Box::new(DramBank::new(&mono, dram_timing, refresh)),
+            ),
+        ];
+        let mut checked = Vec::new();
+        for (name, geom, mut bank) in models {
+            if !bank.stable_verdicts() {
+                continue;
+            }
+            checked.push(name);
+            // Probe the next few steps' accesses against every state the
+            // history passes through.
+            drive_probing(bank.as_mut(), geom, &steps, |bank, now, i| {
+                for step in steps.iter().skip(i).take(3) {
+                    let op = if step.is_write { Op::Write } else { Op::Read };
+                    let access = make_access(geom, op, step.row, step.line);
+                    assert_verdict_holds(name, bank, &access, now);
+                }
+            });
+        }
+        prop_assert_eq!(checked, vec!["baseline", "fgnvm"]);
+    }
+}
+
+/// A DRAM bank's verdicts depend on the query time: a row switch blocked
+/// until its precharge finishes is blocked instead until a refresh window
+/// ends once that window opens, before the precharge's retry instant.
+#[test]
+fn dram_refresh_window_breaks_a_blocked_verdict() {
+    let geom = small_geometry(1, 1);
+    let timing = TimingConfig::ddr3_like().to_cycles().unwrap();
+    let refresh = RefreshCycles::ddr3_like();
+    let mut bank = DramBank::new(&geom, timing, refresh);
+    assert!(!bank.stable_verdicts());
+    // The second refresh window opens at tREFI; activate row 1 just before.
+    let window = Cycle::ZERO + refresh.t_refi;
+    let opener = make_access(&geom, Op::Read, 1, 0);
+    let at = Cycle::new(window.raw() - 10);
+    let plan = bank.plan(&opener, at).unwrap();
+    bank.commit(&opener, &plan, at, plan.earliest_data);
+    // A read of row 2 must wait for tRAS and the precharge, past the
+    // window's start.
+    let switch = make_access(&geom, Op::Read, 2, 0);
+    let t0 = at + CycleCount::new(1);
+    let blocked = bank.plan(&switch, t0).unwrap_err();
+    assert_eq!(blocked.reason, BlockReason::RowLocked);
+    assert!(blocked.retry_at > window, "{blocked:?}");
+    // Inside the window the same access is refused for the refresh, until
+    // the window ends — later than the precharge's retry instant.
+    let refreshed = bank.plan(&switch, window).unwrap_err();
+    assert_eq!(refreshed.reason, BlockReason::BankBusy);
+    assert_eq!(refreshed.retry_at, window + refresh.t_rfc);
+    assert!(refreshed.retry_at > blocked.retry_at);
+}
+
+/// A pausing read's verdict depends on the query time: blocked on a column
+/// division while it may still pause the write in its SAG, it is blocked
+/// instead by the write's SAG lock once less than `PAUSE_MIN_REMAINING`
+/// of the write remains — before the column division's retry instant.
+#[test]
+fn pause_eligibility_expiry_breaks_a_blocked_verdict() {
+    let geom = small_4x4_geometry();
+    let timing = TimingConfig::paper_pcm().to_cycles().unwrap();
+    let mut bank = FgnvmBank::new(&geom, timing, Modes::all(), true)
+        .unwrap()
+        .with_write_pausing(true);
+    assert!(!bank.stable_verdicts());
+    let rows_per_sag = geom.rows_per_bank() / geom.sags();
+    // A write to SAG 0, CD 0 locks SAG 0 until `lock`.
+    let write = make_access(&geom, Op::Write, 0, 0);
+    let plan = bank.plan(&write, Cycle::ZERO).unwrap();
+    bank.commit(&write, &plan, Cycle::ZERO, plan.earliest_data);
+    let lock = bank.sag_lock_until(0);
+    let pause_ends = Cycle::new(lock.raw() - PAUSE_MIN_REMAINING.raw());
+    // A read sensing SAG 1 on CD 1 holds CD 1 until shortly before `lock`.
+    let sense = make_access(&geom, Op::Read, rows_per_sag, 4);
+    let at = Cycle::new(20);
+    let plan = bank.plan(&sense, at).unwrap();
+    bank.commit(&sense, &plan, at, plan.earliest_data);
+    // Another row of SAG 0 on CD 1 may pause the write, so only CD 1
+    // blocks it — until after the pause opportunity has run out.
+    let read = make_access(&geom, Op::Read, 1, 4);
+    let t0 = at + CycleCount::new(1);
+    let blocked = bank.plan(&read, t0).unwrap_err();
+    assert_eq!(blocked.reason, BlockReason::CdBusy);
+    assert!(
+        pause_ends < blocked.retry_at && blocked.retry_at < lock,
+        "{blocked:?}, pause ends {pause_ends}, lock {lock}"
+    );
+    // From then on the read waits for the write's lock instead.
+    let locked = bank.plan(&read, pause_ends).unwrap_err();
+    assert_eq!(locked.reason, BlockReason::SagBusy);
+    assert_eq!(locked.retry_at, lock);
 }
 
 /// 4×4 FgNVM geometry with a small row count to force conflicts.

@@ -24,8 +24,8 @@ use fgnvm_types::TimingCycles;
 
 use crate::bus::DataBus;
 use crate::cmdlog::{CommandLog, CommandRecord};
-use crate::queues::{DrainPolicy, Pending, RequestQueue};
-use crate::scheduler::{make_scheduler, Scheduler};
+use crate::queues::{BankEntries, DrainPolicy, Pending, RequestQueue};
+use crate::scheduler::{make_scheduler, BankView, Scheduler};
 use crate::stats::SystemStats;
 
 /// Outcome of presenting a request to the controller.
@@ -57,16 +57,22 @@ const T_RTRS: CycleCount = CycleCount::new(2);
 /// One slot of the channel's next-event calendar: the memoized result of
 /// [`Controller::next_event_at`].
 ///
-/// The memo is sound *and exact* because every quantity the linear scan
-/// consults is a state-derived instant: the event heap's head, the drain
-/// flag (whose per-tick update is a fixpoint under constant occupancy — see
-/// [`DrainPolicy::update`]), bank readiness hints, and blocked-plan retry
-/// instants, none of which depend on the query time except through
-/// comparisons against it. So a value computed at `t0` stays exactly what a
+/// The memo is sound: a value computed at `t0` is never later than what a
 /// fresh scan would return for any query instant in `(t0, value)`, as long
 /// as no state mutation (enqueue, event retirement, command issue, or
 /// checkpoint restore) happened in between — and every mutation path clears
-/// the memo.
+/// the memo. The event heap's head, the drain flag (whose per-tick update
+/// is a fixpoint under constant occupancy — see [`DrainPolicy::update`])
+/// and bank readiness ([`Bank::ready_at`]) are state-derived instants; so
+/// are blocked-plan retry instants on banks with
+/// [`Bank::stable_verdicts`], which makes the memo exact on a channel of
+/// such banks. Two models' verdicts also depend on the query time: a DRAM
+/// refresh window can open before a blocked access's `retry_at`, and a
+/// pausing FgNVM read loses its pause as the write nears its end. Both
+/// only ever add a gate, so an access blocked at `t0` stays blocked until
+/// at least its `retry_at`: a fresh scan inside the interval may return a
+/// later instant than the memo, never an earlier one, and skipping to the
+/// memo never jumps over real work.
 #[derive(Debug, Clone, Copy)]
 enum NextAt {
     /// The channel was idle; it stays idle until an enqueue (which clears
@@ -184,14 +190,28 @@ pub struct Controller {
     ///
     /// [`issue_one`]: Controller::issue_one
     event_driven: bool,
-    /// Read-queue entries per bank index. Queue entries cluster on few
-    /// banks, and a bank's readiness hint gates every entry on it alike —
-    /// so the calendar scan walks these counts (one hint per *occupied
-    /// bank*) instead of the queue (one hint per *entry*).
-    queued_reads_per_bank: Vec<u32>,
-    /// Write-queue entries per bank index; same role as
-    /// [`queued_reads_per_bank`](field@Controller::queued_reads_per_bank).
-    queued_writes_per_bank: Vec<u32>,
+    /// The read queue's entries per bank index: their count and issue
+    /// bound. Queue entries cluster on few banks, and a bank's bound gates
+    /// every entry on it alike — so the calendar scan and the gate
+    /// pre-check walk these (one bound per *occupied bank*), and the picks
+    /// skip every entry whose bank's bound is still ahead.
+    ///
+    /// A bound is reset to the bank's [`Bank::ready_at`] when the bank
+    /// commits or is restored from a checkpoint (both queues' bounds) and
+    /// when the queue gains an entry on the bank (that queue's bound). In
+    /// between, the calendar scan raises a bound it finds spent to the
+    /// smallest `retry_at` of the queue's entries on the bank — but only
+    /// when the banks declare [`Bank::stable_verdicts`], whose blocked
+    /// verdicts hold until that instant while nothing commits, so the
+    /// raised bound is exactly what re-planning would find. Bounds are
+    /// derived state: restore rebuilds them and checkpoints omit them.
+    reads_by_bank: Vec<BankEntries>,
+    /// The write queue's entries per bank index; same role as
+    /// [`reads_by_bank`](field@Controller::reads_by_bank).
+    writes_by_bank: Vec<BankEntries>,
+    /// Whether every bank declares [`Bank::stable_verdicts`], so the
+    /// calendar may raise issue bounds past readiness.
+    stable_verdicts: bool,
 }
 
 /// What [`Controller::audit_probe`] measured for one issue decision.
@@ -286,7 +306,6 @@ impl Controller {
         }
         Ok(Controller {
             channel,
-            banks,
             banks_per_rank: config.geometry.banks_per_rank(),
             reads: RequestQueue::new(config.queue_entries),
             writes: RequestQueue::new(config.write_queue_entries),
@@ -319,8 +338,10 @@ impl Controller {
             next_cache: Cell::new(None),
             issue_bound: Cell::new(None),
             event_driven: true,
-            queued_reads_per_bank: vec![0; bank_count],
-            queued_writes_per_bank: vec![0; bank_count],
+            reads_by_bank: vec![BankEntries::default(); bank_count],
+            writes_by_bank: vec![BankEntries::default(); bank_count],
+            stable_verdicts: banks.iter().all(|b| b.stable_verdicts()),
+            banks,
         })
     }
 
@@ -407,7 +428,10 @@ impl Controller {
                     stats.rejected += 1;
                     return Enqueue::Full;
                 }
-                self.queued_reads_per_bank[pending.bank_index] += 1;
+                let entries = &mut self.reads_by_bank[pending.bank_index];
+                entries.queued += 1;
+                // The newcomer may issue as soon as its bank is ready.
+                entries.bound.set(self.banks[pending.bank_index].ready_at());
                 stats.enqueued_reads += 1;
                 stats.note_enqueued(pending.request.tenant, true);
                 Enqueue::Accepted
@@ -432,7 +456,9 @@ impl Controller {
                     stats.rejected += 1;
                     return Enqueue::Full;
                 }
-                self.queued_writes_per_bank[pending.bank_index] += 1;
+                let entries = &mut self.writes_by_bank[pending.bank_index];
+                entries.queued += 1;
+                entries.bound.set(self.banks[pending.bank_index].ready_at());
                 stats.enqueued_writes += 1;
                 stats.note_enqueued(pending.request.tenant, false);
                 Enqueue::Accepted
@@ -519,12 +545,12 @@ impl Controller {
                 }
             }
             // The bound is spent (or was never computed): refresh it from
-            // the per-bank occupancy counts before paying for a pick. Every
-            // scheduler only ever picks an entry whose bank is ready
-            // (`next_ready_hint(now) <= now`) and leaves all state — FRFCFS
-            // streak bookkeeping included — untouched when it picks
-            // nothing, so "no occupied bank is ready" proves the pick
-            // returns `None` without running it.
+            // the per-(queue, bank) issue bounds before paying for a pick.
+            // Every scheduler only ever picks an entry whose bank's bound
+            // has arrived and leaves all state — FRFCFS streak bookkeeping
+            // included — untouched when it picks nothing, so "no occupied
+            // bank's bound has arrived" proves the pick returns `None`
+            // without running it.
             let gate = self.earliest_bank_gate(now);
             if gate > now {
                 self.issue_bound.set(Some(gate));
@@ -533,10 +559,13 @@ impl Controller {
         }
         // Choose between the read and write queues.
         let write_pick = |me: &Self| {
-            me.scheduler
-                .pick_write(&me.writes, &me.reads, &me.banks, now)
+            let banks = BankView::new(&me.banks, &me.writes_by_bank);
+            me.scheduler.pick_write(&me.writes, &me.reads, banks, now)
         };
-        let read_pick = |me: &Self| me.scheduler.pick_read(&me.reads, &me.banks, now);
+        let read_pick = |me: &Self| {
+            let banks = BankView::new(&me.banks, &me.reads_by_bank);
+            me.scheduler.pick_read(&me.reads, banks, now)
+        };
 
         let picked = if self.draining {
             if let Some((i, p)) = write_pick(self) {
@@ -608,9 +637,9 @@ impl Controller {
             }
         };
         if from_writes {
-            self.queued_writes_per_bank[pending.bank_index] -= 1;
+            self.writes_by_bank[pending.bank_index].queued -= 1;
         } else {
-            self.queued_reads_per_bank[pending.bank_index] -= 1;
+            self.reads_by_bank[pending.bank_index].queued -= 1;
         }
         // Rank-to-rank bus turnaround: a burst from a different rank than
         // the previous one cannot start until tRTRS after it ends.
@@ -623,6 +652,11 @@ impl Controller {
         }
         let data_start = self.bus.reserve(earliest);
         let issued = self.banks[pending.bank_index].commit(&pending.access, &plan, now, data_start);
+        // The commit moved the bank's state: every entry on it may issue
+        // as soon as it is ready again.
+        let ready = self.banks[pending.bank_index].ready_at();
+        self.reads_by_bank[pending.bank_index].bound.set(ready);
+        self.writes_by_bank[pending.bank_index].bound.set(ready);
         if plan.kind.senses() {
             if let Some(faw) = &mut self.faw {
                 faw.record(rank as usize, now);
@@ -741,7 +775,8 @@ impl Controller {
             let requeued = self.writes.push(pending);
             debug_assert!(requeued, "slot was freed by the remove above");
             if requeued {
-                self.queued_writes_per_bank[pending.bank_index] += 1;
+                // The commit above already reset this bank's bounds.
+                self.writes_by_bank[pending.bank_index].queued += 1;
             }
         } else {
             // Writes are posted: report completion when the cells finish
@@ -850,17 +885,16 @@ impl Controller {
     /// channel is idle (no instant ever will).
     ///
     /// This mirrors `tick`'s issue policy exactly — the queues a tick at
-    /// that instant would consult, per-entry bank gates via
-    /// [`Bank::next_ready_hint`] and, where the hint is inconclusive,
-    /// `plan` itself. The result is a *lower bound*: ticking at it may
-    /// still issue nothing (e.g. a tFAW-gated pick), in which case the
-    /// caller simply single-steps; it never lies *late*, so skipping to it
-    /// can never jump over real work.
+    /// that instant would consult, per-bank issue bounds and, where a
+    /// bound has arrived, `plan` itself. The result is a *lower bound*:
+    /// ticking at it may still issue nothing (e.g. a tFAW-gated pick), in
+    /// which case the caller simply single-steps; it never lies *late*, so
+    /// skipping to it can never jump over real work.
     ///
     /// The result is memoized in this channel's calendar slot and reused
-    /// until it expires or a state mutation clears it; the memo is exact,
-    /// not merely sound (see `NextAt`), which the calendar differential
-    /// suite verifies against [`next_event_at_linear`].
+    /// until it expires or a state mutation clears it (see `NextAt`); the
+    /// calendar differential suite holds every recomputed value equal to
+    /// [`next_event_at_linear`].
     ///
     /// [`next_event_at_linear`]: Controller::next_event_at_linear
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
@@ -887,11 +921,14 @@ impl Controller {
     }
 
     /// The calendar's scan: like [`next_event_at_linear`] but driven by
-    /// the per-bank occupancy counts, so a fully gated channel costs one
-    /// [`Bank::next_ready_hint`] call per *occupied bank* instead of one
-    /// per queued entry. Per-entry `plan` consultation happens only for
-    /// banks whose hint says "ready now" — exactly the entries the linear
-    /// reference would consult too, so both compute the same minimum.
+    /// the per-bank occupancy counts and issue bounds (see
+    /// [`reads_by_bank`](field@Controller::reads_by_bank)), so a fully
+    /// gated channel costs one bound read per *occupied bank* instead of
+    /// one plan per queued entry. A bank is re-planned only once its bound
+    /// has arrived, and on banks with stable verdicts the smallest blocked
+    /// `retry_at` becomes its new bound — exactly the minimum the linear
+    /// reference would compute from the bank's entries until the bank
+    /// commits or the queue gains an entry on it.
     ///
     /// [`next_event_at_linear`]: Controller::next_event_at_linear
     fn next_event_at_scan(&self, now: Cycle) -> Option<Cycle> {
@@ -905,7 +942,7 @@ impl Controller {
             }
             heap_at = ev.at;
         }
-        // Gate contributions (bank hints and blocked-plan retries) are
+        // Gate contributions (issue bounds and blocked-plan retries) are
         // tracked apart from the event-heap head: their minimum is also
         // the issue bound published below, which must not be capped by a
         // completion instant — completions do not gate command issue.
@@ -914,25 +951,26 @@ impl Controller {
         let consider_reads = !drain_next || self.scheduler.reads_during_drain();
         let consider_writes = drain_next || self.reads.is_empty();
         let queues = [
-            (consider_reads, &self.reads, &self.queued_reads_per_bank),
-            (consider_writes, &self.writes, &self.queued_writes_per_bank),
+            (consider_reads, &self.reads, &self.reads_by_bank),
+            (consider_writes, &self.writes, &self.writes_by_bank),
         ];
-        for (consider, queue, counts) in queues {
+        for (consider, queue, by_bank) in queues {
             if !consider {
                 continue;
             }
-            for (bank_index, count) in counts.iter().enumerate() {
-                if *count == 0 {
+            for (bank_index, entries) in by_bank.iter().enumerate() {
+                if entries.queued == 0 {
+                    continue;
+                }
+                let bound = entries.bound.get();
+                if bound > now {
+                    // No entry of this queue can issue on the bank before
+                    // `bound`, which gates every one of them alike.
+                    gates = gates.min(bound);
                     continue;
                 }
                 let bank = &self.banks[bank_index];
-                let hint = bank.next_ready_hint(now);
-                if hint > now {
-                    // The bank cannot accept *any* access before `hint`,
-                    // which gates every entry queued on it alike.
-                    gates = gates.min(hint);
-                    continue;
-                }
+                let mut retry_min = Cycle::MAX;
                 // Deduplicate plan calls by equivalence class (see
                 // [`Bank::plan_class`]): a queue drains many same-shaped
                 // accesses against one bank, so the dozens of entries here
@@ -945,7 +983,7 @@ impl Controller {
                     let key = bank.plan_class(&pending.access);
                     for &(k, retry) in &classes[..class_count] {
                         if k == key {
-                            gates = gates.min(retry);
+                            retry_min = retry_min.min(retry);
                             continue 'entries;
                         }
                     }
@@ -956,13 +994,17 @@ impl Controller {
                                 blocked.retry_at > now,
                                 "blocked plan must name a strictly future retry"
                             );
-                            gates = gates.min(blocked.retry_at);
+                            retry_min = retry_min.min(blocked.retry_at);
                             if class_count < classes.len() {
                                 classes[class_count] = (key, blocked.retry_at);
                                 class_count += 1;
                             }
                         }
                     }
+                }
+                gates = gates.min(retry_min);
+                if self.stable_verdicts {
+                    entries.bound.set(retry_min);
                 }
             }
         }
@@ -1007,10 +1049,10 @@ impl Controller {
             }
             for pending in queue.iter() {
                 let bank = &self.banks[pending.bank_index];
-                let hint = bank.next_ready_hint(now);
-                if hint > now {
-                    // The bank cannot accept *any* access before `hint`.
-                    earliest = earliest.min(hint);
+                let ready = bank.ready_at();
+                if ready > now {
+                    // The bank cannot accept *any* access before `ready`.
+                    earliest = earliest.min(ready);
                     continue;
                 }
                 match bank.plan(&pending.access, now) {
@@ -1028,26 +1070,24 @@ impl Controller {
         Some(earliest)
     }
 
-    /// The earliest instant any occupied bank could accept a command:
-    /// `now` as soon as one occupied bank's hint has arrived (a pick must
-    /// run), otherwise the minimum hint over every bank with at least one
-    /// queued read or write (`Cycle::MAX` when both queues are empty).
-    /// Banks occupied by *either* queue are consulted — a superset of
-    /// whatever the drain policy would let the pick see, so a closed
-    /// result is sound for every scheduler.
+    /// The earliest instant any queued entry could issue: `now` as soon
+    /// as one occupied (queue, bank) pair's issue bound has arrived (a
+    /// pick must run), otherwise the minimum bound over every pair with at
+    /// least one entry (`Cycle::MAX` when both queues are empty). Both
+    /// queues are consulted — a superset of whatever the drain policy
+    /// would let the pick see, so a closed result is sound for every
+    /// scheduler.
     fn earliest_bank_gate(&self, now: Cycle) -> Cycle {
         let mut earliest = Cycle::MAX;
-        for counts in [&self.queued_reads_per_bank, &self.queued_writes_per_bank] {
-            for (bank_index, count) in counts.iter().enumerate() {
-                if *count == 0 {
-                    continue;
-                }
-                let hint = self.banks[bank_index].next_ready_hint(now);
-                if hint <= now {
-                    return now;
-                }
-                earliest = earliest.min(hint);
+        for entries in self.reads_by_bank.iter().chain(&self.writes_by_bank) {
+            if entries.queued == 0 {
+                continue;
             }
+            let bound = entries.bound.get();
+            if bound <= now {
+                return now;
+            }
+            earliest = earliest.min(bound);
         }
         earliest
     }
@@ -1315,28 +1355,30 @@ impl Controller {
         for bank in &mut self.banks {
             bank.load_state(r)?;
         }
-        // Everything the calendar slot was derived from may have changed.
+        // Everything the calendar slot and the issue bounds were derived
+        // from may have changed.
         self.next_cache.set(None);
         self.issue_bound.set(None);
-        self.queued_reads_per_bank.fill(0);
-        for p in self.reads.iter() {
-            let Some(count) = self.queued_reads_per_bank.get_mut(p.bank_index) else {
-                return Err(fgnvm_types::SnapshotError::Corrupt(format!(
-                    "queued read names bank {}, channel has {n_banks} banks",
-                    p.bank_index
-                )));
-            };
-            *count += 1;
-        }
-        self.queued_writes_per_bank.fill(0);
-        for p in self.writes.iter() {
-            let Some(count) = self.queued_writes_per_bank.get_mut(p.bank_index) else {
-                return Err(fgnvm_types::SnapshotError::Corrupt(format!(
-                    "queued write names bank {}, channel has {n_banks} banks",
-                    p.bank_index
-                )));
-            };
-            *count += 1;
+        let queues = [
+            ("read", &self.reads, &mut self.reads_by_bank),
+            ("write", &self.writes, &mut self.writes_by_bank),
+        ];
+        for (label, queue, by_bank) in queues {
+            for (entries, bank) in by_bank.iter_mut().zip(&self.banks) {
+                *entries = BankEntries {
+                    queued: 0,
+                    bound: bank.ready_at().into(),
+                };
+            }
+            for p in queue.iter() {
+                let Some(entries) = by_bank.get_mut(p.bank_index) else {
+                    return Err(fgnvm_types::SnapshotError::Corrupt(format!(
+                        "queued {label} names bank {}, channel has {n_banks} banks",
+                        p.bank_index
+                    )));
+                };
+                entries.queued += 1;
+            }
         }
         // Restored queues can legally hold a full complement of requests;
         // keep the event heap's no-reallocation guarantee intact.

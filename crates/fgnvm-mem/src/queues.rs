@@ -5,12 +5,14 @@
 //! background by watermark. Reads that hit a queued write are forwarded from
 //! the buffer without touching the array.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use fgnvm_bank::Access;
 use fgnvm_types::address::{DecodedAddr, PhysAddr};
 use fgnvm_types::error::SimError;
 use fgnvm_types::request::Request;
+use fgnvm_types::time::Cycle;
 
 /// A request waiting at the controller, with its decode cached.
 #[derive(Debug, Clone, Copy)]
@@ -23,6 +25,16 @@ pub struct Pending {
     pub access: Access,
     /// Channel-local bank index (`rank × banks_per_rank + bank`).
     pub bank_index: usize,
+}
+
+/// One queue's entries on one bank: how many there are, and an issue bound
+/// no entry of them can issue before (the controller keeps it).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BankEntries {
+    /// Entries of the queue that target the bank.
+    pub(crate) queued: u32,
+    /// None of them can issue before this instant.
+    pub(crate) bound: Cell<Cycle>,
 }
 
 /// One physical slot: a pending request, or the tombstone a mid-queue

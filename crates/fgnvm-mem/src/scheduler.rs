@@ -16,15 +16,55 @@ use fgnvm_bank::{AccessPlan, Bank, PlanKind};
 use fgnvm_types::config::SchedulerKind;
 use fgnvm_types::time::Cycle;
 
-use crate::queues::RequestQueue;
+use crate::queues::{BankEntries, Pending, RequestQueue};
 
 /// A scheduling decision: which queue entry to issue and its plan.
 pub type Pick = (usize, AccessPlan);
 
+/// The channel's banks as one queue's pick sees them: the bank models plus,
+/// per bank, the queue's issue bound there — no entry of that queue on the
+/// bank can issue before it. The controller keeps the bounds (see
+/// `Controller`); a pick skips every entry whose bank's bound has not
+/// arrived instead of asking the bank, which is exact because `plan` would
+/// refuse those entries.
+#[derive(Debug, Clone, Copy)]
+pub struct BankView<'a> {
+    banks: &'a [Box<dyn Bank>],
+    entries: &'a [BankEntries],
+}
+
+impl<'a> BankView<'a> {
+    /// Pairs `banks` with one queue's per-bank `entries`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub(crate) fn new(banks: &'a [Box<dyn Bank>], entries: &'a [BankEntries]) -> Self {
+        assert_eq!(banks.len(), entries.len(), "one issue bound per bank");
+        BankView { banks, entries }
+    }
+
+    /// The bank at `index`.
+    pub fn bank(&self, index: usize) -> &dyn Bank {
+        self.banks[index].as_ref()
+    }
+
+    /// `pending`'s plan at `now`, or `None` when it cannot issue — without
+    /// consulting the bank when the bank's issue bound is still ahead.
+    pub fn plan(&self, pending: &Pending, now: Cycle) -> Option<AccessPlan> {
+        if self.entries[pending.bank_index].bound.get() > now {
+            return None;
+        }
+        self.banks[pending.bank_index]
+            .plan(&pending.access, now)
+            .ok()
+    }
+}
+
 /// A request-selection policy over one controller's queues.
 pub trait Scheduler: fmt::Debug + Send {
     /// Chooses the next read to issue, if any is issuable at `now`.
-    fn pick_read(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick>;
+    fn pick_read(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick>;
 
     /// Chooses the next write to drain, if any is issuable at `now`.
     ///
@@ -34,7 +74,7 @@ pub trait Scheduler: fmt::Debug + Send {
         &self,
         queue: &RequestQueue,
         reads: &RequestQueue,
-        banks: &[Box<dyn Bank>],
+        banks: BankView<'_>,
         now: Cycle,
     ) -> Option<Pick>;
 
@@ -84,26 +124,14 @@ pub fn make_scheduler(kind: SchedulerKind) -> Box<dyn Scheduler> {
     }
 }
 
-/// True when `bank` cannot accept *any* access at `now`, per the
-/// [`Bank::next_ready_hint`] contract. Scans use it to skip the (costlier)
-/// `plan` call for banks that are wholesale busy; a hint violating its
-/// contract would change scheduling decisions, which is exactly what the
-/// hint-tightness and differential tests pin down.
-fn bank_not_ready(bank: &dyn Bank, now: Cycle) -> bool {
-    bank.next_ready_hint(now) > now
-}
-
 /// Scans the queue in arrival order: returns the first issuable row hit,
 /// else the oldest issuable *demand* request, else the oldest issuable
 /// prefetch (demand misses outrank speculative traffic).
-fn first_ready(queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
+fn first_ready(queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
     let mut oldest_demand: Option<Pick> = None;
     let mut oldest_prefetch: Option<Pick> = None;
     for (index, pending) in queue.iter().enumerate() {
-        if bank_not_ready(banks[pending.bank_index].as_ref(), now) {
-            continue;
-        }
-        if let Ok(plan) = banks[pending.bank_index].plan(&pending.access, now) {
+        if let Some(plan) = banks.plan(pending, now) {
             if plan.kind == PlanKind::RowHit {
                 return Some((index, plan));
             }
@@ -120,16 +148,17 @@ fn first_ready(queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Opt
 }
 
 /// Oldest issuable request, ignoring row-hit preference.
-fn oldest_ready(queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
-    for (index, pending) in queue.iter().enumerate() {
-        if bank_not_ready(banks[pending.bank_index].as_ref(), now) {
-            continue;
-        }
-        if let Ok(plan) = banks[pending.bank_index].plan(&pending.access, now) {
-            return Some((index, plan));
-        }
-    }
-    None
+fn oldest_ready(queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
+    queue
+        .iter()
+        .enumerate()
+        .find_map(|(index, pending)| banks.plan(pending, now).map(|plan| (index, plan)))
+}
+
+/// The queue head's plan, if it can issue (strict arrival order).
+fn head_ready(queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
+    let head = queue.iter().next()?;
+    banks.plan(head, now).map(|plan| (0, plan))
 }
 
 /// Strict first-come first-serve: only the queue head may issue.
@@ -137,28 +166,18 @@ fn oldest_ready(queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Op
 pub struct Fcfs;
 
 impl Scheduler for Fcfs {
-    fn pick_read(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
-        let head = queue.iter().next()?;
-        let bank = banks[head.bank_index].as_ref();
-        if bank_not_ready(bank, now) {
-            return None;
-        }
-        bank.plan(&head.access, now).ok().map(|plan| (0, plan))
+    fn pick_read(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
+        head_ready(queue, banks, now)
     }
 
     fn pick_write(
         &self,
         queue: &RequestQueue,
         _reads: &RequestQueue,
-        banks: &[Box<dyn Bank>],
+        banks: BankView<'_>,
         now: Cycle,
     ) -> Option<Pick> {
-        let head = queue.iter().next()?;
-        let bank = banks[head.bank_index].as_ref();
-        if bank_not_ready(bank, now) {
-            return None;
-        }
-        bank.plan(&head.access, now).ok().map(|plan| (0, plan))
+        head_ready(queue, banks, now)
     }
 
     fn reads_during_drain(&self) -> bool {
@@ -171,7 +190,7 @@ impl Scheduler for Fcfs {
 pub struct Frfcfs;
 
 impl Scheduler for Frfcfs {
-    fn pick_read(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
+    fn pick_read(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         first_ready(queue, banks, now)
     }
 
@@ -179,7 +198,7 @@ impl Scheduler for Frfcfs {
         &self,
         queue: &RequestQueue,
         _reads: &RequestQueue,
-        banks: &[Box<dyn Bank>],
+        banks: BankView<'_>,
         now: Cycle,
     ) -> Option<Pick> {
         first_ready(queue, banks, now)
@@ -196,7 +215,7 @@ impl Scheduler for Frfcfs {
 pub struct FrfcfsTlp;
 
 impl Scheduler for FrfcfsTlp {
-    fn pick_read(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
+    fn pick_read(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         first_ready(queue, banks, now)
     }
 
@@ -204,7 +223,7 @@ impl Scheduler for FrfcfsTlp {
         &self,
         queue: &RequestQueue,
         reads: &RequestQueue,
-        banks: &[Box<dyn Bank>],
+        banks: BankView<'_>,
         now: Cycle,
     ) -> Option<Pick> {
         // Two rules keep backgrounded writes cheap:
@@ -217,16 +236,13 @@ impl Scheduler for FrfcfsTlp {
         let mut fallback: Option<Pick> = None;
         let mut second: Option<Pick> = None;
         for (index, pending) in queue.iter().enumerate() {
-            if bank_not_ready(banks[pending.bank_index].as_ref(), now) {
-                continue;
-            }
-            let Ok(plan) = banks[pending.bank_index].plan(&pending.access, now) else {
+            let Some(plan) = banks.plan(pending, now) else {
                 continue;
             };
             if fallback.is_none() {
                 fallback = Some((index, plan));
             }
-            if banks[pending.bank_index].write_in_progress(now) {
+            if banks.bank(pending.bank_index).write_in_progress(now) {
                 continue;
             }
             let conflicts = reads.iter().any(|r| {
@@ -247,6 +263,13 @@ impl Scheduler for FrfcfsTlp {
     fn reads_during_drain(&self) -> bool {
         true
     }
+}
+
+/// Issue bounds that gate nothing, so picks plan every entry: the pick
+/// tests exercise the policies, not the controller's bounds.
+#[cfg(test)]
+fn ungated(banks: &[Box<dyn Bank>]) -> Vec<BankEntries> {
+    vec![BankEntries::default(); banks.len()]
 }
 
 #[cfg(test)]
@@ -304,11 +327,13 @@ mod tests {
         let mut q = RequestQueue::new(8);
         q.push(pending(&geom, 1, Op::Read, 9, 8));
         q.push(pending(&geom, 2, Op::Read, 0, 1));
-        let (idx, picked) = Frfcfs.pick_read(&q, &banks, now).unwrap();
+        let bounds = ungated(&banks);
+        let view = BankView::new(&banks, &bounds);
+        let (idx, picked) = Frfcfs.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(picked.kind, PlanKind::RowHit);
         // FCFS instead honors arrival order.
-        let (idx, _) = Fcfs.pick_read(&q, &banks, now).unwrap();
+        let (idx, _) = Fcfs.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 0);
     }
 
@@ -323,9 +348,11 @@ mod tests {
         let mut q = RequestQueue::new(8);
         q.push(pending(&geom, 1, Op::Read, 1, 4)); // same SAG: blocked
         q.push(pending(&geom, 2, Op::Read, geom.rows_per_sag(), 4)); // free pair
-        assert!(Fcfs.pick_read(&q, &banks, now).is_none());
+        let bounds = ungated(&banks);
+        let view = BankView::new(&banks, &bounds);
+        assert!(Fcfs.pick_read(&q, view, now).is_none());
         // FRFCFS skips the blocked head.
-        let (idx, _) = Frfcfs.pick_read(&q, &banks, now).unwrap();
+        let (idx, _) = Frfcfs.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 1);
     }
 
@@ -338,10 +365,12 @@ mod tests {
         writes.push(pending(&geom, 1, Op::Write, geom.rows_per_sag() * 2, 8)); // SAG 2, CD 2
         let mut reads = RequestQueue::new(8);
         reads.push(pending(&geom, 2, Op::Read, 1, 12)); // SAG 0 — conflicts with write 0
-        let (idx, _) = FrfcfsTlp.pick_write(&writes, &reads, &banks, now).unwrap();
+        let bounds = ungated(&banks);
+        let view = BankView::new(&banks, &bounds);
+        let (idx, _) = FrfcfsTlp.pick_write(&writes, &reads, view, now).unwrap();
         assert_eq!(idx, 1, "TLP drain should pick the conflict-free write");
         // Plain FRFCFS drains in order.
-        let (idx, _) = Frfcfs.pick_write(&writes, &reads, &banks, now).unwrap();
+        let (idx, _) = Frfcfs.pick_write(&writes, &reads, view, now).unwrap();
         assert_eq!(idx, 0);
     }
 
@@ -384,12 +413,7 @@ impl FrfcfsCap {
         }
     }
 
-    fn capped_pick(
-        &self,
-        queue: &RequestQueue,
-        banks: &[Box<dyn Bank>],
-        now: Cycle,
-    ) -> Option<Pick> {
+    fn capped_pick(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         let pick = if self.streak.get() >= self.cap {
             oldest_ready(queue, banks, now)
         } else {
@@ -407,7 +431,7 @@ impl FrfcfsCap {
 }
 
 impl Scheduler for FrfcfsCap {
-    fn pick_read(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
+    fn pick_read(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         self.capped_pick(queue, banks, now)
     }
 
@@ -415,7 +439,7 @@ impl Scheduler for FrfcfsCap {
         &self,
         queue: &RequestQueue,
         _reads: &RequestQueue,
-        banks: &[Box<dyn Bank>],
+        banks: BankView<'_>,
         now: Cycle,
     ) -> Option<Pick> {
         self.capped_pick(queue, banks, now)
@@ -483,16 +507,13 @@ impl FrfcfsQos {
     /// One arrival-order pass: tracks the least-served tenant that has at
     /// least one issuable entry, and within that tenant the best pick by
     /// FRFCFS layering (row hit > oldest demand > oldest prefetch).
-    fn qos_pick(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
+    fn qos_pick(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         let mut best_key: Option<(u64, u16)> = None;
         let mut hit: Option<Pick> = None;
         let mut demand: Option<Pick> = None;
         let mut prefetch: Option<Pick> = None;
         for (index, pending) in queue.iter().enumerate() {
-            if bank_not_ready(banks[pending.bank_index].as_ref(), now) {
-                continue;
-            }
-            let Ok(plan) = banks[pending.bank_index].plan(&pending.access, now) else {
+            let Some(plan) = banks.plan(pending, now) else {
                 continue;
             };
             let tenant = pending.request.tenant;
@@ -533,7 +554,7 @@ impl FrfcfsQos {
 }
 
 impl Scheduler for FrfcfsQos {
-    fn pick_read(&self, queue: &RequestQueue, banks: &[Box<dyn Bank>], now: Cycle) -> Option<Pick> {
+    fn pick_read(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         self.qos_pick(queue, banks, now)
     }
 
@@ -541,7 +562,7 @@ impl Scheduler for FrfcfsQos {
         &self,
         queue: &RequestQueue,
         _reads: &RequestQueue,
-        banks: &[Box<dyn Bank>],
+        banks: BankView<'_>,
         now: Cycle,
     ) -> Option<Pick> {
         self.qos_pick(queue, banks, now)
@@ -642,17 +663,19 @@ mod qos_tests {
         q.push(read_for(&geom, 0, 0, 0, 0));
         q.push(read_for(&geom, 1, 0, geom.rows_per_sag(), 4));
         q.push(read_for(&geom, 2, 1, geom.rows_per_sag() * 2, 8));
+        let bounds = ungated(&banks);
+        let view = BankView::new(&banks, &bounds);
         // Equal service (0 each): the tie breaks to tenant 0's oldest.
-        let (idx, _) = sched.pick_read(&q, &banks, now).unwrap();
+        let (idx, _) = sched.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 0);
         q.remove(idx).unwrap();
         // Tenant 0 has now been served once; tenant 1 must go next even
         // though tenant 0's second request is older.
-        let (idx, _) = sched.pick_read(&q, &banks, now).unwrap();
+        let (idx, _) = sched.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 1, "least-served tenant outranks arrival order");
         q.remove(idx).unwrap();
         // Back to tenant 0.
-        let (idx, _) = sched.pick_read(&q, &banks, now).unwrap();
+        let (idx, _) = sched.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 0);
     }
 
@@ -670,7 +693,9 @@ mod qos_tests {
         // first, exactly like plain FRFCFS.
         q.push(read_for(&geom, 0, 3, geom.rows_per_sag(), 4));
         q.push(read_for(&geom, 1, 3, 0, 1));
-        let (idx, plan) = sched.pick_read(&q, &banks_v, now).unwrap();
+        let bounds = ungated(&banks_v);
+        let view = BankView::new(&banks_v, &bounds);
+        let (idx, plan) = sched.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(plan.kind, PlanKind::RowHit);
     }
@@ -680,7 +705,9 @@ mod qos_tests {
         let (geom, banks) = banks();
         let sched = FrfcfsQos::new();
         let q = RequestQueue::new(8);
-        assert!(sched.pick_read(&q, &banks, Cycle::ZERO).is_none());
+        let bounds = ungated(&banks);
+        let view = BankView::new(&banks, &bounds);
+        assert!(sched.pick_read(&q, view, Cycle::ZERO).is_none());
         assert!(sched.served.borrow().is_empty());
         let _ = geom;
     }
@@ -777,18 +804,20 @@ mod cap_tests {
         for i in 1..5 {
             q.push(read(i, 0, i as u32)); // hits
         }
+        let bounds = ungated(&banks);
+        let view = BankView::new(&banks, &bounds);
         // First two picks: hits (indices > 0).
         for _ in 0..2 {
-            let (idx, plan) = sched.pick_read(&q, &banks, now).unwrap();
+            let (idx, plan) = sched.pick_read(&q, view, now).unwrap();
             assert!(idx > 0);
             assert_eq!(plan.kind, PlanKind::RowHit);
         }
         // Third pick: the cap fires and the old miss is served.
-        let (idx, plan) = sched.pick_read(&q, &banks, now).unwrap();
+        let (idx, plan) = sched.pick_read(&q, view, now).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(plan.kind, PlanKind::Activate);
         // Streak reset: hits may flow again.
-        let (idx, _) = sched.pick_read(&q, &banks, now).unwrap();
+        let (idx, _) = sched.pick_read(&q, view, now).unwrap();
         assert!(idx > 0);
     }
 

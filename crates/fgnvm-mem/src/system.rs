@@ -684,7 +684,7 @@ impl MemorySystem {
     /// all channels. `None` when the system is idle (no instant ever will).
     ///
     /// The result is a lower bound (see
-    /// [`Bank::next_ready_hint`](fgnvm_bank::Bank::next_ready_hint) for the
+    /// [`Bank::ready_at`](fgnvm_bank::Bank::ready_at) for the
     /// contract): ticking at it may still do nothing, but skipping to it
     /// can never jump over real work, which is what makes fast-forward
     /// bit-identical to cycle-stepping.
