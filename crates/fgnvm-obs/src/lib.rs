@@ -13,8 +13,8 @@
 //!   one slice per command);
 //! - [`registry::Registry`] — an insertion-ordered counter/gauge registry
 //!   every component exports into, serialized as JSON/CSV;
-//! - [`table::TableData`] and [`json`] — the single table/JSON emission
-//!   backend shared with the CLI's report rendering.
+//! - [`json`] — the one JSON string escaper every exporter and the CLI's
+//!   report tables quote through.
 //!
 //! The memory system owns an `Option<Box<Observer>>`: when it is `None`
 //! (the default) no hook does any work, keeping the hot path unchanged;
@@ -36,7 +36,6 @@ pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod span;
-pub mod table;
 pub mod timeseries;
 pub mod trace;
 
@@ -50,7 +49,6 @@ pub use heatmap::{TileCell, TileHeatmap};
 pub use hist::Log2Hist;
 pub use registry::{CounterHandle, GaugeHandle, MetricValue, Registry};
 pub use span::{LatencyBreakdown, Spans};
-pub use table::TableData;
 pub use timeseries::{TenantWindow, TimeSeries, WindowAgg};
 pub use trace::TraceSink;
 

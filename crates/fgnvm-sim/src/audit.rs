@@ -18,13 +18,14 @@
 //! so a decision stream that fails to fold back onto the command counters
 //! fails the run.
 
-use fgnvm_cpu::{Core, Trace};
+use fgnvm_cpu::Core;
 use fgnvm_mem::MemorySystem;
 use fgnvm_obs::json::{number, quote};
 use fgnvm_obs::what_if;
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::error::ConfigError;
 
+use crate::observe::observe_mix;
 use crate::report::Table;
 use crate::runner::ExperimentParams;
 use crate::viz;
@@ -70,14 +71,7 @@ pub fn audit(
     memory.set_fast_forward(params.fast_forward);
     memory.enable_telemetry(AUDIT_WINDOW_CYCLES, 64, 128);
     memory.enable_audit();
-    let mut records = Vec::new();
-    for profile in ["milc_like", "lbm_like"] {
-        let trace = fgnvm_workloads::profile(profile)
-            .expect("known profile")
-            .generate(config.geometry, params.seed, params.ops / 2);
-        records.extend_from_slice(trace.records());
-    }
-    let trace = Trace::new("observe-mix", records);
+    let trace = observe_mix(config, params.seed, params.ops);
     let result = core.run(&trace, &mut memory);
     let final_cycle = memory.now().raw();
     let mut obs = memory.take_observer().expect("audit enables the observer");

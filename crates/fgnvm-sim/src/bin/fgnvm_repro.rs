@@ -1,299 +1,20 @@
 //! Command-line entry point regenerating the paper's tables and figures.
 //!
-//! ```text
-//! fgnvm-repro <command> [--ops N] [--seed S] [--csv|--md|--json]
-//!
-//! commands:
-//!   <study>   any registered study (table1, table2, fig4, fig5, dims, ...);
-//!             the list comes from `fgnvm_sim::study::STUDIES`, and running
-//!             fgnvm-repro with no command prints it with one line each
-//!   observe   instrumented run: spans, SAGxCD heatmap, Perfetto trace [cfg]
-//!   audit     issue-audited run: realized rate vs measured opportunity
-//!             ceiling vs Amdahl bound, block attribution, missed-pair
-//!             grid; the conservation invariant gates the exit status
-//!             [a.cfg b.cfg ...]
-//!   profile   bottleneck attribution + what-if bounds; appends runs.jsonl
-//!             ledger lines: profile [a.cfg ...] [--seeds N] [--ledger FILE]
-//!   compare   run the workloads on N parameter files: compare a.cfg b.cfg ...
-//!             OR diff two run ledgers: compare base.jsonl cand.jsonl
-//!   check     conformance-oracle audit of real runs: check [a.cfg b.cfg ...]
-//!   fuzz      command-sequence fuzzer: fuzz [--cases N] | fuzz file.case
-//!             (--kill-resume additionally checkpoints each case at a
-//!             derived cycle, restores, and diffs against the straight run)
-//!   serve     crash-safe long-horizon run: serve [cfg] --horizon N
-//!             [--checkpoint-every N --checkpoint-dir D] [--resume CKPT]
-//!             [--policy reject|block] [--watchdog N]
-//!             [--telemetry-out FILE] [--telemetry-every N] [--prom-out FILE]
-//!             [--live] [--progress] [--slo-read-p99 N] [--dump-flight FILE]
-//!             [--audit]
-//!   fairness  isolated vs shared per-tenant read p99: fairness [cfg] --tenants SPEC
-//!   regress   self-check headline results against recorded bands (CI)
-//!   all       every registered study, in registry order
-//! ```
-//!
-//! `serve` drives an open-loop workload for `--horizon` cycles, writing a
-//! full-state checkpoint every `--checkpoint-every` cycles; a killed run
-//! resumed with `--resume <ckpt>` finishes bit-identically to an
-//! uninterrupted one. `--telemetry-out` streams one schema-versioned JSON
-//! window record per telemetry window (`--telemetry-every N` cycles, 0
-//! disables); `--prom-out` keeps a Prometheus text exposition current;
-//! `--live` draws a sparkline status line; `--progress` prints a one-line
-//! heartbeat per window; `--slo-read-p99 N` tracks per-window SLO burn;
-//! `--dump-flight FILE` writes the flight-recorder post-mortem (JSON +
-//! ASCII timeline) at exit. `reliability --horizon N` switches the fault study
-//! to the device-lifetime sweep (the wear-out escalation ladder over
-//! increasing horizons). `--jobs N` caps sweep parallelism (0 = number of
-//! host cores).
-//!
-//! `observe` additionally honors `--trace-out FILE` (Chrome trace-event
-//! JSON, loadable at `ui.perfetto.dev`) and `--metrics-out FILE` (the
-//! counter registry + latency breakdowns + heatmap as one JSON document).
-//!
-//! `profile` runs the stall-attribution profiler over `--seeds N` seeds per
-//! configuration (the built-in presets when no `.cfg` files are given) and
-//! appends one schema-versioned record per run to the `--ledger FILE`
-//! ledger (default `target/runs.jsonl`). `compare` on two `.jsonl` ledgers
-//! prints a noise-aware regression report (`--report FILE` also writes it
-//! as Markdown) and exits non-zero when the candidate regresses.
+//! `fgnvm-repro <command> [arguments] [flags]` runs one registered study
+//! (`fgnvm_sim::study::STUDIES`: table1, fig4, ...), every study (`all`),
+//! or one of the commands that observe, audit, profile, compare, check,
+//! fuzz or serve the simulator. `fgnvm_sim::cli::REPRO` declares each
+//! command's flags; running `fgnvm-repro` with no command prints them, and
+//! a command refuses any flag it does not read.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use fgnvm_sim::cli::{Parsed, REPRO};
 use fgnvm_sim::runner::ExperimentParams;
 use fgnvm_sim::study::{self, STUDIES};
-use fgnvm_sim::Table;
-
-#[derive(Debug)]
-struct Cli {
-    command: String,
-    args: Vec<String>,
-    params: ExperimentParams,
-    csv: bool,
-    markdown: bool,
-    json: bool,
-    out_dir: Option<std::path::PathBuf>,
-    trace_out: Option<std::path::PathBuf>,
-    metrics_out: Option<std::path::PathBuf>,
-    cases: usize,
-    seeds: usize,
-    ledger: std::path::PathBuf,
-    report_out: Option<std::path::PathBuf>,
-    horizon: u64,
-    checkpoint_every: u64,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    resume: Option<std::path::PathBuf>,
-    policy: String,
-    watchdog: u64,
-    jobs: usize,
-    kill_resume: bool,
-    telemetry_out: Option<std::path::PathBuf>,
-    telemetry_every: Option<u64>,
-    prom_out: Option<std::path::PathBuf>,
-    live: bool,
-    progress: bool,
-    slo_read_p99: u64,
-    dump_flight: Option<std::path::PathBuf>,
-    tenants: Option<String>,
-    audit: bool,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().ok_or_else(usage)?;
-    let mut params = ExperimentParams::full();
-    let mut csv = false;
-    let mut markdown = false;
-    let mut json = false;
-    let mut out_dir = None;
-    let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut cases = 500;
-    let mut seeds = 3;
-    let mut ledger = std::path::PathBuf::from("target/runs.jsonl");
-    let mut report_out = None;
-    let mut horizon = 0u64;
-    let mut checkpoint_every = 0u64;
-    let mut checkpoint_dir = None;
-    let mut resume = None;
-    let mut policy = "reject".to_string();
-    let mut watchdog = 1_000_000u64;
-    let mut jobs = 0usize;
-    let mut kill_resume = false;
-    let mut telemetry_out = None;
-    let mut telemetry_every = None;
-    let mut prom_out = None;
-    let mut live = false;
-    let mut progress = false;
-    let mut slo_read_p99 = 0u64;
-    let mut dump_flight = None;
-    let mut tenants = None;
-    let mut audit = false;
-    let mut positional = Vec::new();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--ops" => {
-                let v = args.next().ok_or("--ops needs a value")?;
-                params.ops = v.parse().map_err(|_| format!("bad --ops value: {v}"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                params.seed = v.parse().map_err(|_| format!("bad --seed value: {v}"))?;
-            }
-            "--csv" => csv = true,
-            "--md" => markdown = true,
-            "--json" => json = true,
-            "--out" => {
-                let dir = args.next().ok_or("--out needs a directory")?;
-                out_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--trace-out" => {
-                let file = args.next().ok_or("--trace-out needs a file")?;
-                trace_out = Some(std::path::PathBuf::from(file));
-            }
-            "--metrics-out" => {
-                let file = args.next().ok_or("--metrics-out needs a file")?;
-                metrics_out = Some(std::path::PathBuf::from(file));
-            }
-            "--cases" => {
-                let v = args.next().ok_or("--cases needs a value")?;
-                cases = v.parse().map_err(|_| format!("bad --cases value: {v}"))?;
-            }
-            "--seeds" => {
-                let v = args.next().ok_or("--seeds needs a value")?;
-                seeds = v.parse().map_err(|_| format!("bad --seeds value: {v}"))?;
-                if seeds == 0 {
-                    return Err("--seeds must be at least 1".to_string());
-                }
-            }
-            "--ledger" => {
-                let file = args.next().ok_or("--ledger needs a file")?;
-                ledger = std::path::PathBuf::from(file);
-            }
-            "--report" => {
-                let file = args.next().ok_or("--report needs a file")?;
-                report_out = Some(std::path::PathBuf::from(file));
-            }
-            "--horizon" => {
-                let v = args.next().ok_or("--horizon needs a value")?;
-                horizon = v.parse().map_err(|_| format!("bad --horizon value: {v}"))?;
-            }
-            "--checkpoint-every" => {
-                let v = args.next().ok_or("--checkpoint-every needs a value")?;
-                checkpoint_every = v
-                    .parse()
-                    .map_err(|_| format!("bad --checkpoint-every value: {v}"))?;
-            }
-            "--checkpoint-dir" => {
-                let dir = args.next().ok_or("--checkpoint-dir needs a directory")?;
-                checkpoint_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--resume" => {
-                let file = args.next().ok_or("--resume needs a checkpoint file")?;
-                resume = Some(std::path::PathBuf::from(file));
-            }
-            "--policy" => {
-                let v = args.next().ok_or("--policy needs reject|block")?;
-                if fgnvm_sim::AdmissionPolicy::from_name(&v).is_none() {
-                    return Err(format!("bad --policy value: {v} (want reject|block)"));
-                }
-                policy = v;
-            }
-            "--watchdog" => {
-                let v = args.next().ok_or("--watchdog needs a value")?;
-                watchdog = v
-                    .parse()
-                    .map_err(|_| format!("bad --watchdog value: {v}"))?;
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                jobs = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
-            }
-            "--kill-resume" => kill_resume = true,
-            "--telemetry-out" => {
-                let file = args.next().ok_or("--telemetry-out needs a file")?;
-                telemetry_out = Some(std::path::PathBuf::from(file));
-            }
-            "--telemetry-every" => {
-                let v = args.next().ok_or("--telemetry-every needs a value")?;
-                telemetry_every = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --telemetry-every value: {v}"))?,
-                );
-            }
-            "--prom-out" => {
-                let file = args.next().ok_or("--prom-out needs a file")?;
-                prom_out = Some(std::path::PathBuf::from(file));
-            }
-            "--live" => live = true,
-            "--progress" => progress = true,
-            "--slo-read-p99" => {
-                let v = args.next().ok_or("--slo-read-p99 needs a value")?;
-                slo_read_p99 = v
-                    .parse()
-                    .map_err(|_| format!("bad --slo-read-p99 value: {v}"))?;
-            }
-            "--dump-flight" => {
-                let file = args.next().ok_or("--dump-flight needs a file")?;
-                dump_flight = Some(std::path::PathBuf::from(file));
-            }
-            "--audit" => audit = true,
-            "--tenants" => {
-                let spec = args.next().ok_or("--tenants needs a spec string")?;
-                // Validate up front so a typo fails before any simulation.
-                fgnvm_workloads::parse_tenants(&spec).map_err(|e| e.to_string())?;
-                tenants = Some(spec);
-            }
-            other if !other.starts_with('-') => positional.push(other.to_string()),
-            other => return Err(format!("unknown flag: {other}\n{}", usage())),
-        }
-    }
-    Ok(Cli {
-        command,
-        args: positional,
-        params,
-        csv,
-        markdown,
-        json,
-        out_dir,
-        trace_out,
-        metrics_out,
-        cases,
-        seeds,
-        ledger,
-        report_out,
-        horizon,
-        checkpoint_every,
-        checkpoint_dir,
-        resume,
-        policy,
-        watchdog,
-        jobs,
-        kill_resume,
-        telemetry_out,
-        telemetry_every,
-        prom_out,
-        live,
-        progress,
-        slo_read_p99,
-        dump_flight,
-        tenants,
-        audit,
-    })
-}
-
-fn usage() -> String {
-    let commands: Vec<&str> = STUDIES.iter().map(|s| s.command).collect();
-    let mut text = format!(
-        "usage: fgnvm-repro <{}|observe|audit|profile|compare|check|fuzz|serve|fairness|regress|all> \
-         [--ops N] [--seed S] [--seeds N] [--cases N] [--csv|--md|--json] [--out DIR] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--report FILE] [--jobs N] \
-         [--horizon N] [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] [--policy reject|block] [--watchdog N] [--kill-resume] [--audit] \
-         [--telemetry-out FILE] [--telemetry-every N] [--prom-out FILE] [--live] [--progress] [--slo-read-p99 N] [--dump-flight FILE] [--tenants SPEC]\n\nstudies:",
-        commands.join("|")
-    );
-    for s in &STUDIES {
-        text += &format!("\n  {:<12} {}", s.command, s.about);
-    }
-    text
-}
+use fgnvm_sim::{AdmissionPolicy, ServeConfig, Table};
+use fgnvm_types::SystemConfig;
 
 #[derive(Debug, Clone, Copy)]
 enum Format {
@@ -303,18 +24,32 @@ enum Format {
     Json,
 }
 
-fn emit_to(table: &Table, format: Format, out_dir: Option<&std::path::Path>) {
-    match format {
+fn format(cli: &Parsed) -> Format {
+    if cli.has("--csv") {
+        Format::Csv
+    } else if cli.has("--md") {
+        Format::Markdown
+    } else if cli.has("--json") {
+        Format::Json
+    } else {
+        Format::Text
+    }
+}
+
+/// Prints `table` in the chosen format and, with `--out DIR`, also writes
+/// it as CSV into DIR.
+fn emit(cli: &Parsed, table: &Table) {
+    match format(cli) {
         Format::Csv => print!("{}", table.to_csv()),
         Format::Markdown => println!("{}", table.to_markdown()),
         Format::Json => println!("{}", table.to_json()),
         Format::Text => println!("{}", table.render()),
     }
-    if let Some(dir) = out_dir {
-        let _ = std::fs::create_dir_all(dir);
+    if let Some(dir) = cli.path("--out") {
+        let _ = std::fs::create_dir_all(&dir);
         // Derive a file stem from the table title.
         let stem: String = table
-            .title()
+            .title
             .chars()
             .map(|c| {
                 if c.is_alphanumeric() {
@@ -335,108 +70,105 @@ fn emit_to(table: &Table, format: Format, out_dir: Option<&std::path::Path>) {
     }
 }
 
-fn run(cli: &Cli) -> Result<(), String> {
-    let p = &cli.params;
-    fgnvm_sim::runner::set_jobs(cli.jobs);
-    let format = if cli.csv {
-        Format::Csv
-    } else if cli.markdown {
-        Format::Markdown
-    } else if cli.json {
-        Format::Json
-    } else {
-        Format::Text
+/// Writes `contents` to the file `flag` names, if it was given, and
+/// returns that path.
+fn write_out(cli: &Parsed, flag: &str, contents: &str) -> Result<Option<PathBuf>, String> {
+    let Some(path) = cli.path(flag) else {
+        return Ok(None);
     };
+    std::fs::write(&path, contents).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    Ok(Some(path))
+}
+
+/// The study parameters: `--ops` and `--seed` over the full-size defaults.
+fn params(cli: &Parsed) -> ExperimentParams {
+    let full = ExperimentParams::full();
+    ExperimentParams {
+        ops: cli.number("--ops").unwrap_or(full.ops),
+        seed: cli.number("--seed").unwrap_or(full.seed),
+        ..full
+    }
+}
+
+fn run(cli: &Parsed) -> Result<(), String> {
+    if let Some(jobs) = cli.number("--jobs") {
+        fgnvm_sim::runner::set_jobs(jobs);
+    }
+    let p = &params(cli);
+    let text = matches!(format(cli), Format::Text);
     let fail = |e: fgnvm_types::ConfigError| e.to_string();
-    let emit = |table: &Table, format: Format| emit_to(table, format, cli.out_dir.as_deref());
-    if let Some(study) = study::find(&cli.command) {
+    if let Some(study) = study::find(cli.command) {
         let run = match study.horizon {
-            Some(horizon) if cli.horizon > 0 => horizon,
+            Some(horizon) if cli.number::<u64>("--horizon").is_some_and(|h| h > 0) => horizon,
             _ => study.run,
         };
         let outcome = run(p).map_err(|e| e.to_string())?;
-        emit(&outcome.table, format);
-        if matches!(format, Format::Text) {
+        emit(cli, &outcome.table);
+        if text {
             print!("{}", outcome.notes);
         }
         return Ok(());
     }
-    match cli.command.as_str() {
+    match cli.command {
         "serve" => serve_command(cli)?,
         "fairness" => fairness_command(cli)?,
         "observe" => {
-            let config = match cli.args.first() {
-                Some(path) => load_config(path)?,
-                None => fgnvm_types::SystemConfig::fgnvm(8, 2).map_err(fail)?,
-            };
-            let out = fgnvm_sim::observe(&config, p).map_err(fail)?;
-            emit(&out.summary, format);
-            emit(&out.heatmap_table, format);
-            if matches!(format, Format::Text) {
+            let out = fgnvm_sim::observe(&first_config(cli)?, p).map_err(fail)?;
+            emit(cli, &out.summary);
+            emit(cli, &out.heatmap_table);
+            if text {
                 print!("{}", out.heatmap_ascii);
                 print!("{}", out.decomposition_ascii);
                 print!("{}", out.timeseries_ascii);
                 print!("{}", out.audit_ascii);
             }
-            if let Some(path) = &cli.trace_out {
-                std::fs::write(path, &out.trace_json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            if let Some(path) = write_out(cli, "--trace-out", &out.trace_json)? {
                 println!(
                     "trace written to {} (load it at ui.perfetto.dev)",
                     path.display()
                 );
             }
-            if let Some(path) = &cli.metrics_out {
-                std::fs::write(path, &out.metrics_json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            if let Some(path) = write_out(cli, "--metrics-out", &out.metrics_json)? {
                 println!("metrics written to {}", path.display());
             }
-            if let Some(dir) = &cli.out_dir {
-                let _ = std::fs::create_dir_all(dir);
+            if let Some(dir) = cli.path("--out") {
+                let _ = std::fs::create_dir_all(&dir);
                 if let Err(e) = std::fs::write(dir.join("heatmap.csv"), &out.heatmap_csv) {
                     eprintln!("warning: could not write artifact: {e}");
                 }
             }
         }
-        "audit" => audit_command(cli, p, format)?,
-        "profile" => profile_command(cli, p, format)?,
+        "audit" => audit_command(cli, p)?,
+        "profile" => profile_command(cli, p)?,
+        "compare" if !cli.args.is_empty() && cli.args.iter().all(|a| a.ends_with(".jsonl")) => {
+            compare_ledgers_command(cli)?
+        }
         "compare" => {
-            if cli.args.is_empty() {
-                return Err(
+            let configs = load_configs(cli, || {
+                Err(
                     "compare needs parameter files (a.cfg b.cfg ...) or two run ledgers \
                      (base.jsonl cand.jsonl)"
                         .into(),
-                );
-            }
-            if cli.args.iter().all(|a| a.ends_with(".jsonl")) {
-                compare_ledgers_command(cli, format)?;
-            } else {
-                let configs = cli
-                    .args
-                    .iter()
-                    .map(|f| Ok((f.clone(), load_config(f)?)))
-                    .collect::<Result<Vec<_>, String>>()?;
-                emit(&study::compare(&configs, p).map_err(fail)?.table, format)
-            }
+                )
+            })?;
+            emit(cli, &study::compare(&configs, p).map_err(fail)?.table)
         }
-        "check" => {
-            emit(&oracle_check(&cli.args, p)?, format);
-        }
+        "check" => emit(cli, &oracle_check(cli, p)?),
         "fuzz" => fuzz_command(cli, p)?,
-        "regress" => regress(p)?,
+        "regress" => regress()?,
         "all" => {
             for study in &STUDIES {
-                emit(&(study.run)(p).map_err(|e| e.to_string())?.table, format);
+                emit(cli, &(study.run)(p).map_err(|e| e.to_string())?.table);
             }
         }
-        other => return Err(format!("unknown command: {other}\n{}", usage())),
+        other => unreachable!("{other} is not a declared command"),
     }
     Ok(())
 }
 
 /// Loads and parses one `.cfg` parameter file, reporting problems through
 /// the SimError taxonomy.
-fn load_config(path: &str) -> Result<fgnvm_types::SystemConfig, String> {
+fn load_config(path: &str) -> Result<SystemConfig, String> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         fgnvm_types::SimError::Io {
             path: path.to_string(),
@@ -448,25 +180,60 @@ fn load_config(path: &str) -> Result<fgnvm_types::SystemConfig, String> {
         .map_err(|e| format!("{path}: {}", fgnvm_types::SimError::from(e)))
 }
 
+/// The FgNVM 8x2 preset, the design a command runs when given no `.cfg`.
+fn fgnvm_8x2() -> Result<SystemConfig, String> {
+    SystemConfig::fgnvm(8, 2).map_err(|e| e.to_string())
+}
+
+/// The first parameter file given, or the FgNVM 8x2 preset.
+fn first_config(cli: &Parsed) -> Result<SystemConfig, String> {
+    cli.args
+        .first()
+        .map_or_else(fgnvm_8x2, |path| load_config(path))
+}
+
+type Configs = Vec<(String, SystemConfig)>;
+
+/// Every parameter file given, each named by its path, or `defaults()`
+/// when none is. `--metrics-out` holds one configuration's document, so
+/// it is refused when more than one would run.
+fn load_configs(
+    cli: &Parsed,
+    defaults: fn() -> Result<Configs, String>,
+) -> Result<Configs, String> {
+    let configs = if cli.args.is_empty() {
+        defaults()?
+    } else {
+        cli.args
+            .iter()
+            .map(|path| Ok((path.clone(), load_config(path)?)))
+            .collect::<Result<_, String>>()?
+    };
+    if configs.len() > 1 && cli.has("--metrics-out") {
+        return Err(format!(
+            "--metrics-out holds one config's document, but {} configs would run",
+            configs.len()
+        ));
+    }
+    Ok(configs)
+}
+
 /// The built-in preset configurations the `profile` and `check` commands
 /// fall back to when no parameter files are given.
-fn preset_configs() -> Result<Vec<(String, fgnvm_types::SystemConfig)>, String> {
+fn preset_configs() -> Result<Configs, String> {
     let fail = |e: fgnvm_types::ConfigError| e.to_string();
     Ok(vec![
-        ("baseline".into(), fgnvm_types::SystemConfig::baseline()),
-        (
-            "fgnvm-8x2".into(),
-            fgnvm_types::SystemConfig::fgnvm(8, 2).map_err(fail)?,
-        ),
+        ("baseline".into(), SystemConfig::baseline()),
+        ("fgnvm-8x2".into(), fgnvm_8x2()?),
         (
             "multi-issue-8x4".into(),
-            fgnvm_types::SystemConfig::fgnvm_multi_issue(8, 4, 2).map_err(fail)?,
+            SystemConfig::fgnvm_multi_issue(8, 4, 2).map_err(fail)?,
         ),
         (
             "pausing-8x8".into(),
-            fgnvm_types::SystemConfig::fgnvm_with_pausing(8, 8).map_err(fail)?,
+            SystemConfig::fgnvm_with_pausing(8, 8).map_err(fail)?,
         ),
-        ("dram".into(), fgnvm_types::SystemConfig::dram()),
+        ("dram".into(), SystemConfig::dram()),
     ])
 }
 
@@ -474,34 +241,22 @@ fn preset_configs() -> Result<Vec<(String, fgnvm_types::SystemConfig)>, String> 
 /// realized issue rate, the measured opportunity ceiling, and the Amdahl
 /// bound side by side plus the decision-stream ASCII digest; any audit
 /// conservation failure makes the command exit non-zero.
-fn audit_command(cli: &Cli, p: &ExperimentParams, format: Format) -> Result<(), String> {
-    let configs: Vec<(String, fgnvm_types::SystemConfig)> = if cli.args.is_empty() {
-        vec![(
-            "fgnvm-8x2".into(),
-            fgnvm_types::SystemConfig::fgnvm(8, 2).map_err(|e| e.to_string())?,
-        )]
-    } else {
-        cli.args
-            .iter()
-            .map(|path| Ok((config_stem(path), load_config(path)?)))
-            .collect::<Result<_, String>>()?
-    };
+fn audit_command(cli: &Parsed, p: &ExperimentParams) -> Result<(), String> {
+    let configs = load_configs(cli, || Ok(vec![("fgnvm-8x2".into(), fgnvm_8x2()?)]))?;
     let mut violations = 0usize;
-    for (name, config) in &configs {
-        let out = fgnvm_sim::audit(config, name, p).map_err(|e| e.to_string())?;
-        match format {
+    for (path, config) in &configs {
+        let name = config_stem(path);
+        let out = fgnvm_sim::audit(config, &name, p).map_err(|e| e.to_string())?;
+        match format(cli) {
             Format::Json => println!("{}", out.audit_json),
-            _ => {
-                emit_to(&out.summary, format, cli.out_dir.as_deref());
+            format => {
+                emit(cli, &out.summary);
                 if matches!(format, Format::Text) {
                     print!("{}", out.audit_ascii);
                 }
             }
         }
-        if let Some(path) = &cli.metrics_out {
-            std::fs::write(path, &out.audit_json)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        }
+        write_out(cli, "--metrics-out", &out.audit_json)?;
         for failure in &out.invariant_failures {
             eprintln!("{name}: {failure}");
             violations += 1;
@@ -517,18 +272,16 @@ fn audit_command(cli: &Cli, p: &ExperimentParams, format: Format) -> Result<(), 
 
 /// The `profile` command: stall attribution, critical-path ranking, and
 /// what-if bounds per configuration, plus one ledger line per seed.
-fn profile_command(cli: &Cli, p: &ExperimentParams, format: Format) -> Result<(), String> {
+fn profile_command(cli: &Parsed, p: &ExperimentParams) -> Result<(), String> {
     use std::io::Write as _;
-    let configs: Vec<(String, fgnvm_types::SystemConfig)> = if cli.args.is_empty() {
-        preset_configs()?
-    } else {
-        cli.args
-            .iter()
-            .map(|path| Ok((config_stem(path), load_config(path)?)))
-            .collect::<Result<_, String>>()?
-    };
-    let seeds: Vec<u64> = (0..cli.seeds as u64).map(|i| p.seed + i).collect();
-    if let Some(dir) = cli.ledger.parent() {
+    let configs = load_configs(cli, preset_configs)?;
+    let seeds: Vec<u64> = (0..cli.number("--seeds").unwrap_or(3u64))
+        .map(|i| p.seed + i)
+        .collect();
+    let ledger_path = cli
+        .path("--ledger")
+        .unwrap_or_else(|| PathBuf::from("target/runs.jsonl"));
+    if let Some(dir) = ledger_path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         }
@@ -536,30 +289,28 @@ fn profile_command(cli: &Cli, p: &ExperimentParams, format: Format) -> Result<()
     let mut ledger = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&cli.ledger)
-        .map_err(|e| format!("opening {}: {e}", cli.ledger.display()))?;
+        .open(&ledger_path)
+        .map_err(|e| format!("opening {}: {e}", ledger_path.display()))?;
     let mut lines = 0usize;
-    for (name, config) in &configs {
-        let out = fgnvm_sim::profile(config, name, p, &seeds).map_err(|e| e.to_string())?;
-        emit_to(&out.summary, format, cli.out_dir.as_deref());
-        emit_to(&out.attribution_table, format, cli.out_dir.as_deref());
-        emit_to(&out.whatif_table, format, cli.out_dir.as_deref());
-        if matches!(format, Format::Text) {
+    for (path, config) in &configs {
+        let out =
+            fgnvm_sim::profile(config, &config_stem(path), p, &seeds).map_err(|e| e.to_string())?;
+        emit(cli, &out.summary);
+        emit(cli, &out.attribution_table);
+        emit(cli, &out.whatif_table);
+        if matches!(format(cli), Format::Text) {
             print!("{}", out.decomposition_ascii);
         }
-        if let Some(path) = &cli.metrics_out {
-            std::fs::write(path, &out.attribution_json)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        }
+        write_out(cli, "--metrics-out", &out.attribution_json)?;
         for record in &out.records {
             writeln!(ledger, "{}", record.to_json_line())
-                .map_err(|e| format!("appending to {}: {e}", cli.ledger.display()))?;
+                .map_err(|e| format!("appending to {}: {e}", ledger_path.display()))?;
             lines += 1;
         }
     }
     println!(
         "{lines} run record(s) appended to {} (schema v{})",
-        cli.ledger.display(),
+        ledger_path.display(),
         fgnvm_sim::SCHEMA_VERSION
     );
     Ok(())
@@ -567,20 +318,18 @@ fn profile_command(cli: &Cli, p: &ExperimentParams, format: Format) -> Result<()
 
 /// `compare` on two `.jsonl` ledgers: the noise-aware cross-run regression
 /// gate. Exits non-zero when the candidate regresses any gated metric.
-fn compare_ledgers_command(cli: &Cli, format: Format) -> Result<(), String> {
+fn compare_ledgers_command(cli: &Parsed) -> Result<(), String> {
     let [base_path, cand_path] = cli.args.as_slice() else {
         return Err("ledger compare needs exactly two files: compare base.jsonl cand.jsonl".into());
     };
     let read =
         |path: &String| std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
     let outcome = fgnvm_sim::compare_ledgers(&read(base_path)?, &read(cand_path)?);
-    match format {
+    match format(cli) {
         Format::Json => println!("{}", outcome.to_json()),
         _ => print!("{}", outcome.to_markdown()),
     }
-    if let Some(path) = &cli.report_out {
-        std::fs::write(path, outcome.to_markdown())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    if let Some(path) = write_out(cli, "--report", &outcome.to_markdown())? {
         println!("report written to {}", path.display());
     }
     if outcome.regressions() > 0 {
@@ -595,7 +344,7 @@ fn compare_ledgers_command(cli: &Cli, format: Format) -> Result<(), String> {
 
 /// `path/to/fgnvm-8x8.cfg` → `fgnvm-8x8`, for ledger group keys.
 fn config_stem(path: &str) -> String {
-    std::path::Path::new(path)
+    Path::new(path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.to_string())
@@ -604,12 +353,12 @@ fn config_stem(path: &str) -> String {
 /// Self-check: re-derives the headline results and asserts they sit inside
 /// the bands recorded in EXPERIMENTS.md. Exits non-zero on drift, making
 /// this a one-command regression gate for the repository.
-fn regress(params: &ExperimentParams) -> Result<(), String> {
+fn regress() -> Result<(), String> {
     use fgnvm_model::area::AreaModel;
     let fixed = ExperimentParams {
         ops: 3000,
         seed: 7,
-        ..*params
+        ..ExperimentParams::full()
     };
     let mut failures = Vec::new();
     let mut check = |name: &str, value: f64, lo: f64, hi: f64| {
@@ -630,7 +379,7 @@ fn regress(params: &ExperimentParams) -> Result<(), String> {
     let value = |study: &study::StudyOutcome, row: &str, column: &str| {
         study
             .get(&[row], column)
-            .unwrap_or_else(|| panic!("no {row:?} row in {:?}", study.table.title()))
+            .unwrap_or_else(|| panic!("no {row:?} row in {:?}", study.table.title))
     };
     check(
         "fig4 fgnvm gmean",
@@ -672,14 +421,8 @@ fn regress(params: &ExperimentParams) -> Result<(), String> {
 /// analytically derived legality envelope, the protocol checker runs over
 /// the same log, and the whole-run conservation invariants are checked.
 /// Any violation makes the command fail, so CI can gate on it.
-fn oracle_check(args: &[String], p: &ExperimentParams) -> Result<Table, String> {
-    let configs: Vec<(String, fgnvm_types::SystemConfig)> = if args.is_empty() {
-        preset_configs()?
-    } else {
-        args.iter()
-            .map(|path| Ok((path.clone(), load_config(path)?)))
-            .collect::<Result<_, String>>()?
-    };
+fn oracle_check(cli: &Parsed, p: &ExperimentParams) -> Result<Table, String> {
+    let configs = load_configs(cli, preset_configs)?;
     let mut table = Table::new(
         "Conformance audit (oracle + protocol checker + invariants)",
         &[
@@ -735,7 +478,7 @@ fn oracle_check(args: &[String], p: &ExperimentParams) -> Result<Table, String> 
 /// Runs the command-sequence fuzzer, or replays a `.case` file if one is
 /// given. On failure the shrunk counterexample is written next to the
 /// artifacts (`--out DIR`, default `target/fuzz-cases/`) for replay.
-fn fuzz_command(cli: &Cli, p: &ExperimentParams) -> Result<(), String> {
+fn fuzz_command(cli: &Parsed, p: &ExperimentParams) -> Result<(), String> {
     if let Some(path) = cli.args.first() {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let case = fgnvm_check::parse_case(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -754,10 +497,10 @@ fn fuzz_command(cli: &Cli, p: &ExperimentParams) -> Result<(), String> {
     // generation; the fuzzer draws its own tenant palettes, and every
     // tenant case also runs the kill/resume differential.
     let opts = fgnvm_check::FuzzOptions {
-        cases: cli.cases,
+        cases: cli.number("--cases").unwrap_or(500),
         seed: p.seed,
-        kill_resume: cli.kill_resume || cli.tenants.is_some(),
-        tenants: cli.tenants.is_some(),
+        kill_resume: cli.has("--kill-resume") || cli.has("--tenants"),
+        tenants: cli.has("--tenants"),
         ..fgnvm_check::FuzzOptions::default()
     };
     let outcome = fgnvm_check::fuzz(&opts);
@@ -778,9 +521,8 @@ fn fuzz_command(cli: &Cli, p: &ExperimentParams) -> Result<(), String> {
         }
         Some(failure) => {
             let dir = cli
-                .out_dir
-                .clone()
-                .unwrap_or_else(|| std::path::PathBuf::from("target/fuzz-cases"));
+                .path("--out")
+                .unwrap_or_else(|| PathBuf::from("target/fuzz-cases"));
             std::fs::create_dir_all(&dir)
                 .map_err(|e| format!("creating {}: {e}", dir.display()))?;
             let file = dir.join(format!("fail-{}.case", failure.index));
@@ -800,45 +542,56 @@ fn fuzz_command(cli: &Cli, p: &ExperimentParams) -> Result<(), String> {
     }
 }
 
+/// The `serve` and `fairness` run: each flag given over
+/// [`ServeConfig::default`]. A command that does not take a flag never
+/// has it given.
+fn serve_config(cli: &Parsed) -> Result<ServeConfig, String> {
+    let d = ServeConfig::default();
+    let horizon = cli.number("--horizon").filter(|&h| h > 0);
+    Ok(ServeConfig {
+        horizon: horizon.unwrap_or(d.horizon),
+        // Arrival pressure tracks the horizon (~1 op / 40 cycles) unless
+        // --ops is given.
+        ops: cli
+            .number("--ops")
+            .or(horizon.map(|h| h / 40))
+            .unwrap_or(d.ops),
+        seed: cli.number("--seed").unwrap_or(d.seed),
+        checkpoint_every: cli
+            .number("--checkpoint-every")
+            .unwrap_or(d.checkpoint_every),
+        checkpoint_dir: cli.path("--checkpoint-dir"),
+        policy: cli
+            .value("--policy")
+            .and_then(AdmissionPolicy::from_name)
+            .unwrap_or(d.policy),
+        watchdog_cycles: cli.number("--watchdog").unwrap_or(d.watchdog_cycles),
+        telemetry_window: cli
+            .number("--telemetry-every")
+            .unwrap_or(d.telemetry_window),
+        telemetry_out: cli.path("--telemetry-out"),
+        prom_out: cli.path("--prom-out"),
+        live: cli.has("--live"),
+        progress: cli.has("--progress"),
+        slo_read_p99: cli.number("--slo-read-p99").unwrap_or(d.slo_read_p99),
+        dump_flight: cli.path("--dump-flight"),
+        audit: cli.has("--audit"),
+        tenants: match cli.value("--tenants") {
+            Some(spec) => fgnvm_workloads::parse_tenants(spec).map_err(|e| e.to_string())?,
+            None => d.tenants,
+        },
+        ..d
+    })
+}
+
 /// The `serve` command: a crash-safe long-horizon run with periodic
 /// checkpoints. `--resume FILE` continues a killed run from a checkpoint
 /// and lands bit-identically on the uninterrupted run's final state.
-fn serve_command(cli: &Cli) -> Result<(), String> {
-    let config = match cli.args.first() {
-        Some(path) => load_config(path)?,
-        None => fgnvm_types::SystemConfig::fgnvm(8, 2).map_err(|e| e.to_string())?,
-    };
-    let mut sc = fgnvm_sim::ServeConfig::default();
-    if cli.horizon > 0 {
-        sc.horizon = cli.horizon;
-        // Default arrival pressure tracks the horizon (~1 op / 40 cycles)
-        // unless --ops was given explicitly.
-        sc.ops = cli.horizon / 40;
-    }
-    if cli.params.ops != fgnvm_sim::ExperimentParams::full().ops {
-        sc.ops = cli.params.ops as u64;
-    }
-    sc.seed = cli.params.seed;
-    sc.checkpoint_every = cli.checkpoint_every;
-    sc.checkpoint_dir = cli.checkpoint_dir.clone();
-    sc.policy = fgnvm_sim::AdmissionPolicy::from_name(&cli.policy)
-        .ok_or_else(|| format!("bad --policy value: {}", cli.policy))?;
-    sc.watchdog_cycles = cli.watchdog;
-    if let Some(win) = cli.telemetry_every {
-        sc.telemetry_window = win;
-    }
-    sc.telemetry_out = cli.telemetry_out.clone();
-    sc.prom_out = cli.prom_out.clone();
-    sc.live = cli.live;
-    sc.progress = cli.progress;
-    sc.slo_read_p99 = cli.slo_read_p99;
-    sc.dump_flight = cli.dump_flight.clone();
-    sc.audit = cli.audit;
-    if let Some(spec) = &cli.tenants {
-        sc.tenants = fgnvm_workloads::parse_tenants(spec).map_err(|e| e.to_string())?;
-    }
-    let report = match &cli.resume {
-        Some(ckpt) => fgnvm_sim::resume(config, ckpt, &sc).map_err(|e| e.to_string())?,
+fn serve_command(cli: &Parsed) -> Result<(), String> {
+    let config = first_config(cli)?;
+    let sc = serve_config(cli)?;
+    let report = match cli.path("--resume") {
+        Some(ckpt) => fgnvm_sim::resume(config, &ckpt, &sc).map_err(|e| e.to_string())?,
         None => fgnvm_sim::serve(config, &sc).map_err(|e| e.to_string())?,
     };
     println!(
@@ -861,16 +614,16 @@ fn serve_command(cli: &Cli) -> Result<(), String> {
         println!(
             "telemetry: {} window(s) emitted{}",
             report.windows_emitted,
-            cli.telemetry_out
+            sc.telemetry_out
                 .as_ref()
                 .map(|p| format!(" to {}", p.display()))
                 .unwrap_or_default(),
         );
     }
-    if cli.slo_read_p99 > 0 {
+    if sc.slo_read_p99 > 0 {
         println!(
             "slo: read p99 <= {} cy violated in {} of {} window(s)",
-            cli.slo_read_p99, report.slo_violations, report.slo_windows,
+            sc.slo_read_p99, report.slo_violations, report.slo_windows,
         );
     }
     for t in &report.tenants {
@@ -895,38 +648,18 @@ fn serve_command(cli: &Cli) -> Result<(), String> {
             },
         );
     }
-    if let Some(path) = &cli.metrics_out {
-        std::fs::write(path, &report.metrics_json)
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    if let Some(path) = write_out(cli, "--metrics-out", &report.metrics_json)? {
         println!("metrics written to {}", path.display());
     }
     Ok(())
 }
 
-fn fairness_command(cli: &Cli) -> Result<(), String> {
-    let config = match cli.args.first() {
-        Some(path) => load_config(path)?,
-        None => fgnvm_types::SystemConfig::fgnvm(8, 2).map_err(|e| e.to_string())?,
-    };
-    let spec = cli
-        .tenants
-        .as_ref()
-        .ok_or("fairness needs --tenants with at least two tenants")?;
-    let mut sc = fgnvm_sim::ServeConfig::default();
-    if cli.horizon > 0 {
-        sc.horizon = cli.horizon;
-        sc.ops = cli.horizon / 40;
+fn fairness_command(cli: &Parsed) -> Result<(), String> {
+    let config = first_config(cli)?;
+    if !cli.has("--tenants") {
+        return Err("fairness needs --tenants with at least two tenants".into());
     }
-    if cli.params.ops != fgnvm_sim::ExperimentParams::full().ops {
-        sc.ops = cli.params.ops as u64;
-    }
-    sc.seed = cli.params.seed;
-    sc.policy = fgnvm_sim::AdmissionPolicy::from_name(&cli.policy)
-        .ok_or_else(|| format!("bad --policy value: {}", cli.policy))?;
-    if let Some(win) = cli.telemetry_every {
-        sc.telemetry_window = win;
-    }
-    sc.tenants = fgnvm_workloads::parse_tenants(spec).map_err(|e| e.to_string())?;
+    let sc = serve_config(cli)?;
     let report = fgnvm_sim::fairness(config, &sc).map_err(|e| e.to_string())?;
     println!("fairness: isolated vs shared read p99 per tenant (cycles)");
     println!("tenant       isolated    frfcfs       qos");
@@ -944,7 +677,7 @@ fn fairness_command(cli: &Cli) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let cli = match REPRO.parse(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");

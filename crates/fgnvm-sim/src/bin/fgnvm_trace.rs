@@ -11,22 +11,18 @@
 //! fgnvm-trace replay <file.trace> --check        # audit the command log
 //! fgnvm-trace dump fgnvm:8x8                     # emit a parameter file
 //! ```
+//!
+//! `fgnvm_sim::cli::TRACE` declares each command's flags; a command
+//! refuses any flag it does not read.
 
 use std::process::ExitCode;
 
 use fgnvm_cpu::{Core, CoreConfig, Trace};
 use fgnvm_mem::MemorySystem;
+use fgnvm_sim::cli::TRACE;
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::geometry::Geometry;
 use fgnvm_workloads::{all_profiles, profile};
-
-fn usage() -> String {
-    "usage:\n  fgnvm-trace list\n  fgnvm-trace generate <profile> <ops> <out.trace> [--seed S]\n  \
-     fgnvm-trace info <file.trace>\n  fgnvm-trace replay <file.trace> \
-     [--design baseline|fgnvm:SxC|dram|manybanks:SxC | --params file.cfg] [--check]\n  \
-     fgnvm-trace dump <design>   # emit the design as an NVMain-style parameter file"
-        .to_string()
-}
 
 /// Parses `fgnvm:8x2`-style design names.
 fn parse_design(spec: &str) -> Result<SystemConfig, String> {
@@ -43,7 +39,7 @@ fn parse_design(spec: &str) -> Result<SystemConfig, String> {
         None => match spec {
             "baseline" => Ok(SystemConfig::baseline()),
             "dram" => Ok(SystemConfig::dram()),
-            other => Err(format!("unknown design: {other}\n{}", usage())),
+            other => Err(format!("unknown design: {other}\n{}", TRACE.usage())),
         },
         Some(("fgnvm", shape)) => {
             let (s, c) = parse_shape(shape)?;
@@ -53,14 +49,14 @@ fn parse_design(spec: &str) -> Result<SystemConfig, String> {
             let (s, c) = parse_shape(shape)?;
             SystemConfig::many_banks_matching(s, c).map_err(|e| e.to_string())
         }
-        Some((other, _)) => Err(format!("unknown design: {other}\n{}", usage())),
+        Some((other, _)) => Err(format!("unknown design: {other}\n{}", TRACE.usage())),
     }
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().ok_or_else(usage)?;
-    match command.as_str() {
+    let cli = TRACE.parse(std::env::args().skip(1))?;
+    let arg = |i: usize| cli.args.get(i).ok_or_else(|| TRACE.usage());
+    match cli.command {
         "list" => {
             println!(
                 "{:<18} {:>6} {:>7} {:>9} {:>8} {:>10}",
@@ -80,21 +76,10 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "generate" => {
-            let name = args.get(1).ok_or_else(usage)?;
-            let ops: usize = args
-                .get(2)
-                .ok_or_else(usage)?
-                .parse()
-                .map_err(|_| "bad op count".to_string())?;
-            let out = args.get(3).ok_or_else(usage)?;
-            let mut seed = 7u64;
-            if let Some(i) = args.iter().position(|a| a == "--seed") {
-                seed = args
-                    .get(i + 1)
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad seed".to_string())?;
-            }
+            let name = arg(0)?;
+            let ops: usize = arg(1)?.parse().map_err(|_| "bad op count".to_string())?;
+            let out = arg(2)?;
+            let seed = cli.number("--seed").unwrap_or(7u64);
             let p = profile(name).ok_or_else(|| format!("unknown profile: {name} (try `list`)"))?;
             let trace = p.generate(Geometry::default(), seed, ops);
             trace.save(out).map_err(|e| e.to_string())?;
@@ -106,8 +91,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "info" => {
-            let path = args.get(1).ok_or_else(usage)?;
-            let trace = Trace::load(path).map_err(|e| e.to_string())?;
+            let trace = Trace::load(arg(0)?).map_err(|e| e.to_string())?;
             let dependent = trace.records().iter().filter(|r| r.dependent).count() as f64
                 / trace.len().max(1) as f64;
             println!("name:          {}", trace.name());
@@ -134,33 +118,31 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "dump" => {
-            let design = args.get(1).ok_or_else(usage)?;
-            let config = parse_design(design)?;
+            let config = parse_design(arg(0)?)?;
             print!("{}", fgnvm_types::write_system_config(&config));
             Ok(())
         }
         "replay" => {
-            let path = args.get(1).ok_or_else(usage)?;
-            let mut design = "fgnvm:8x2".to_string();
-            if let Some(i) = args.iter().position(|a| a == "--design") {
-                design = args.get(i + 1).ok_or("--design needs a value")?.clone();
+            if cli.has("--design") && cli.has("--params") {
+                return Err("replay takes --design or --params, not both".to_string());
             }
-            let trace = Trace::load(path).map_err(|e| e.to_string())?;
-            let config = if let Some(i) = args.iter().position(|a| a == "--params") {
-                let file = args.get(i + 1).ok_or("--params needs a file")?;
-                design = format!("params:{file}");
-                let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
-                fgnvm_types::parse_system_config(&text).map_err(|e| e.to_string())?
-            } else {
-                parse_design(&design)?
+            let trace = Trace::load(arg(0)?).map_err(|e| e.to_string())?;
+            let (design, config) = match cli.value("--params") {
+                Some(file) => {
+                    let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
+                    (
+                        format!("params:{file}"),
+                        fgnvm_types::parse_system_config(&text).map_err(|e| e.to_string())?,
+                    )
+                }
+                None => {
+                    let design = cli.value("--design").unwrap_or("fgnvm:8x2");
+                    (design.to_string(), parse_design(design)?)
+                }
             };
-            let viz = args.iter().any(|a| a == "--viz");
-            let check = args.iter().any(|a| a == "--check");
-            let viz_tiles: Option<usize> = args
-                .iter()
-                .position(|a| a == "--viz-tiles")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok());
+            let viz = cli.has("--viz");
+            let check = cli.has("--check");
+            let viz_tiles: Option<usize> = cli.number("--viz-tiles");
             let core = Core::new(CoreConfig::nehalem_like()).map_err(|e| e.to_string())?;
             let mut memory = MemorySystem::new(config).map_err(|e| e.to_string())?;
             if viz || viz_tiles.is_some() {
@@ -214,7 +196,7 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command: {other}\n{}", usage())),
+        other => unreachable!("{other} is not a declared command"),
     }
 }
 

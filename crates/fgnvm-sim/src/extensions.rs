@@ -1364,7 +1364,7 @@ mod detail_tests {
         let ipcs = result.select(&[], "ipc");
         assert_eq!(ipcs.len(), 12);
         assert!(ipcs.iter().all(|&ipc| ipc > 0.0));
-        assert_eq!(result.table.row_count(), 12);
+        assert_eq!(result.table.rows.len(), 12);
     }
 }
 
@@ -1548,7 +1548,7 @@ mod reliability_tests {
     fn slowdown_is_monotone_in_fault_severity() {
         let params = quick(900);
         let result = reliability(&params).unwrap();
-        assert_eq!(result.table.row_count(), 8);
+        assert_eq!(result.table.rows.len(), 8);
         for design in ["baseline", "FgNVM 8x2"] {
             let column = |name| result.select(&[design], name);
             let slowdown = column("slowdown");

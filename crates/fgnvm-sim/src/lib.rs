@@ -32,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod audit;
+pub mod cli;
 pub mod experiment;
 mod extensions;
 pub mod golden;

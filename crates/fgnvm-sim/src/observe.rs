@@ -19,6 +19,7 @@ use fgnvm_obs::{Observer, Registry};
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::error::ConfigError;
 
+use crate::profile::PROFILE_WORKLOAD;
 use crate::report::{fmt_ratio, Table};
 use crate::runner::ExperimentParams;
 use crate::viz;
@@ -55,6 +56,21 @@ const OBSERVE_RETENTION: usize = 64;
 /// Flight-recorder capacity (events).
 const OBSERVE_FLIGHT_CAPACITY: usize = 128;
 
+/// The workload `observe`, `audit` and `profile` run: a read-dominated
+/// and a write-heavy profile back to back, `ops / 2` operations each, so
+/// spans, write occupancy, retries, and tile conflicts all appear in one
+/// trace.
+pub(crate) fn observe_mix(config: &SystemConfig, seed: u64, ops: usize) -> Trace {
+    let mut records = Vec::new();
+    for name in ["milc_like", "lbm_like"] {
+        let trace = fgnvm_workloads::profile(name)
+            .expect("known profile")
+            .generate(config.geometry, seed, ops / 2);
+        records.extend_from_slice(trace.records());
+    }
+    Trace::new(PROFILE_WORKLOAD, records)
+}
+
 /// Runs a mixed read/write workload on `config` with the observer enabled
 /// and returns every observability artifact.
 ///
@@ -77,16 +93,7 @@ pub fn observe(
         OBSERVE_FLIGHT_CAPACITY,
     );
     memory.enable_audit();
-    // A read-dominated and a write-heavy profile back to back, so spans,
-    // write occupancy, retries, and tile conflicts all appear in one trace.
-    let mut records = Vec::new();
-    for name in ["milc_like", "lbm_like"] {
-        let trace = fgnvm_workloads::profile(name)
-            .expect("known profile")
-            .generate(config.geometry, params.seed, params.ops / 2);
-        records.extend_from_slice(trace.records());
-    }
-    let trace = Trace::new("observe-mix", records);
+    let trace = observe_mix(config, params.seed, params.ops);
     let result = core.run(&trace, &mut memory);
 
     let mut reg = Registry::new();
@@ -220,7 +227,7 @@ mod tests {
             .contains("\"heatmap\":{\"sags\":8,\"cds\":2"));
         // Tables and ASCII heatmap render.
         assert!(out.summary.render().contains("ipc"));
-        assert_eq!(out.heatmap_table.row_count(), 8);
+        assert_eq!(out.heatmap_table.rows.len(), 8);
         assert!(out.heatmap_ascii.contains("SAG  0"));
         assert!(out.heatmap_csv.starts_with("sag,cd,"));
         // The stacked decomposition bar rides along, and the metrics
@@ -242,7 +249,7 @@ mod tests {
     #[test]
     fn observe_baseline_degenerates_to_one_cell() {
         let out = observe(&SystemConfig::baseline(), &quick()).unwrap();
-        assert_eq!(out.heatmap_table.row_count(), 1);
+        assert_eq!(out.heatmap_table.rows.len(), 1);
         assert!(out
             .metrics_json
             .contains("\"heatmap\":{\"sags\":1,\"cds\":1"));

@@ -20,13 +20,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fgnvm_cpu::{Core, Trace};
+use fgnvm_cpu::Core;
 use fgnvm_mem::MemorySystem;
 use fgnvm_obs::json::{number, quote};
 use fgnvm_obs::{what_if, what_if_json, StallCause};
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::error::ConfigError;
 
+use crate::observe::observe_mix;
 use crate::report::Table;
 use crate::runner::ExperimentParams;
 use crate::viz;
@@ -467,14 +468,7 @@ pub fn profile(
         memory.set_fast_forward(params.fast_forward);
         memory.enable_observer();
         memory.enable_audit();
-        let mut recs = Vec::new();
-        for profile in ["milc_like", "lbm_like"] {
-            let trace = fgnvm_workloads::profile(profile)
-                .expect("known profile")
-                .generate(config.geometry, seed, params.ops / 2);
-            recs.extend_from_slice(trace.records());
-        }
-        let trace = Trace::new(PROFILE_WORKLOAD, recs);
+        let trace = observe_mix(config, seed, params.ops);
         let wall = Instant::now();
         let result = core.run(&trace, &mut memory);
         let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
@@ -1023,7 +1017,7 @@ mod tests {
         assert!(out.attribution_json.contains("\"audit\":{\"sags\":"));
         assert!(out.decomposition_ascii.contains("stall attribution"));
         // Six Amdahl scenarios plus the measured-opportunity row.
-        assert_eq!(out.whatif_table.row_count(), 7);
+        assert_eq!(out.whatif_table.rows.len(), 7);
         assert!(out.whatif_table.render().contains("measured-opportunity"));
         for r in &out.records {
             assert!(r.metrics.contains_key("audit_opportunity_ceiling"));

@@ -333,7 +333,7 @@ impl StudyOutcome {
             .columns
             .iter()
             .position(|(h, _)| *h == column)
-            .unwrap_or_else(|| panic!("{:?} has no column {column:?}", self.table.title()));
+            .unwrap_or_else(|| panic!("{:?} has no column {column:?}", self.table.title));
         self.rows
             .iter()
             .filter(|(labels, _)| {

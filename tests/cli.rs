@@ -176,3 +176,158 @@ fn trace_generate_info_replay_dump_round_trip() {
     );
     assert_eq!(body(&by_name), body(&by_file));
 }
+
+#[test]
+fn serve_admits_the_ops_given_at_the_study_default() {
+    // 6000 is the studies' default --ops; given, it still counts.
+    for args in [
+        &["serve", "--horizon", "400000", "--ops", "6000"][..],
+        &["serve", "--ops", "6000"],
+    ] {
+        let out = run(REPRO, args);
+        assert_succeeds(&out);
+        assert!(
+            stdout(&out).starts_with("serve: 6000 admitted, 6000 completed"),
+            "{args:?}: {}",
+            stdout(&out)
+        );
+    }
+}
+
+#[test]
+fn fairness_refuses_serve_outputs_before_running() {
+    let dir = scratch("fairness_refuses_serve_outputs");
+    let (checkpoints, telemetry) = (dir.join("ckpts"), dir.join("windows.jsonl"));
+    let out = run(
+        REPRO,
+        &[
+            "fairness".as_ref(),
+            "--tenants".as_ref(),
+            "a:poisson:gap=60,b:poisson:gap=80".as_ref(),
+            "--horizon".as_ref(),
+            "20000".as_ref(),
+            "--checkpoint-dir".as_ref(),
+            checkpoints.as_os_str(),
+            "--telemetry-out".as_ref(),
+            telemetry.as_os_str(),
+        ],
+    );
+    assert_fails(&out, "fairness does not take --checkpoint-dir");
+    assert!(stderr(&out).contains("usage: fgnvm-repro fairness [cfg] [--ops N]"));
+    assert!(!checkpoints.exists() && !telemetry.exists());
+}
+
+#[test]
+fn table1_refuses_horizon() {
+    assert_fails(
+        &run(REPRO, &["table1", "--horizon", "5"]),
+        "table1 does not take --horizon",
+    );
+}
+
+#[test]
+fn regress_refuses_seed() {
+    // regress always runs its recorded seed, 7.
+    assert_fails(
+        &run(REPRO, &["regress", "--seed", "3"]),
+        "regress does not take --seed",
+    );
+}
+
+#[test]
+fn metrics_out_refuses_several_configs_before_running() {
+    let dir = scratch("metrics_out_refuses_several_configs");
+    let (doc, ledger) = (dir.join("metrics.json"), dir.join("runs.jsonl"));
+    let out = run(
+        REPRO,
+        &[
+            "audit".as_ref(),
+            "configs/fgnvm_8x2.cfg".as_ref(),
+            "configs/baseline_pcm.cfg".as_ref(),
+            "--ops".as_ref(),
+            "300".as_ref(),
+            "--metrics-out".as_ref(),
+            doc.as_os_str(),
+        ],
+    );
+    assert_fails(&out, "--metrics-out holds one config's document");
+    assert!(!doc.exists());
+    // With no config, profile runs every preset.
+    let out = run(
+        REPRO,
+        &[
+            "profile".as_ref(),
+            "--ops".as_ref(),
+            "300".as_ref(),
+            "--seeds".as_ref(),
+            "1".as_ref(),
+            "--ledger".as_ref(),
+            ledger.as_os_str(),
+            "--metrics-out".as_ref(),
+            doc.as_os_str(),
+        ],
+    );
+    assert_fails(&out, "--metrics-out holds one config's document");
+    assert!(!doc.exists() && !ledger.exists());
+    // One config still writes its document.
+    let out = run(
+        REPRO,
+        &[
+            "audit".as_ref(),
+            "configs/baseline_pcm.cfg".as_ref(),
+            "--ops".as_ref(),
+            "300".as_ref(),
+            "--metrics-out".as_ref(),
+            doc.as_os_str(),
+        ],
+    );
+    assert_succeeds(&out);
+    let json = std::fs::read_to_string(&doc).expect("the audit document");
+    assert!(json.contains("\"config\":\"baseline_pcm\""), "{json}");
+}
+
+#[test]
+fn trace_refuses_flags_it_does_not_read() {
+    let dir = scratch("trace_refuses_flags");
+    let trace = dir.join("t.trace");
+    let (trace_arg, out_arg) = (
+        trace.to_str().expect("utf-8 path"),
+        dir.join("seeded.trace"),
+    );
+    assert_succeeds(&run(TRACE, &["generate", "lbm_like", "200", trace_arg]));
+    for (args, message) in [
+        (
+            &["replay", trace_arg, "--desing", "fgnvm:8x8"][..],
+            "unknown flag: --desing",
+        ),
+        (
+            &["replay", trace_arg, "--viz-tiles", "x"],
+            "bad --viz-tiles value: x",
+        ),
+        (
+            &[
+                "replay",
+                trace_arg,
+                "--params",
+                "configs/fgnvm_8x2.cfg",
+                "--design",
+                "dram",
+            ],
+            "replay takes --design or --params, not both",
+        ),
+        (
+            &[
+                "generate",
+                "lbm_like",
+                "100",
+                out_arg.to_str().expect("utf-8 path"),
+                "--sed",
+                "5",
+            ],
+            "unknown flag: --sed",
+        ),
+    ] {
+        assert_fails(&run(TRACE, args), message);
+    }
+    assert!(!out_arg.exists());
+}
