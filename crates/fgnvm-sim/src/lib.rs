@@ -43,6 +43,7 @@ pub mod runner;
 pub mod serve;
 pub mod simulation;
 pub mod study;
+mod table;
 pub mod viz;
 
 pub use audit::{audit, AuditOutcome};
