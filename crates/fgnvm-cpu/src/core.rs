@@ -19,6 +19,7 @@
 //! (3.2 GHz core vs 400 MHz memory controller by default).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use fgnvm_mem::MemoryBackend;
 use fgnvm_types::error::ConfigError;
@@ -175,14 +176,26 @@ impl Core {
         // ~10^5 CPU cycles even under pathological conflicts.
         let cycle_limit = 200_000 + trace.instruction_count() * 100_000;
         let ratio = u64::from(self.config.cpu_mem_ratio);
+        // Memory ticks once per `cpu_mem_ratio` CPU cycles; this is the
+        // CPU cycle of the next tick.
+        let mut next_tick: u64 = 0;
         while !engine.is_done() {
             assert!(cpu_cycle < cycle_limit, "core deadlocked against memory");
-            // Memory ticks once per `cpu_mem_ratio` CPU cycles.
-            if cpu_cycle.is_multiple_of(ratio) {
+            if cpu_cycle == next_tick {
                 completions.clear();
                 memory.tick_into(&mut completions);
                 engine.absorb_completions(&completions);
                 engine.issue_prefetches(memory);
+                next_tick += ratio;
+            }
+            // Gap leap: a cycle that only retires `width` gap instructions
+            // touches nothing but the gap counter, so the run of such
+            // cycles up to the next tick (or the deadlock bound, where a
+            // stepped run would panic) is applied in one update.
+            let gap_cycles = engine.leap_gap(next_tick.min(cycle_limit) - cpu_cycle);
+            if gap_cycles > 0 {
+                cpu_cycle += gap_cycles;
+                continue;
             }
             let outcome = engine.step(memory);
             cpu_cycle += 1;
@@ -200,6 +213,7 @@ impl Core {
                     if target > cpu_cycle {
                         engine.note_stalled(target - cpu_cycle);
                         cpu_cycle = target;
+                        next_tick = target.next_multiple_of(ratio);
                         if target == event_boundary {
                             completions.clear();
                             memory.tick_to(event, &mut completions);
@@ -222,6 +236,45 @@ impl Core {
 const PREFETCH_INFLIGHT_MAX: usize = 32;
 const PREFETCH_BUFFER_LINES: usize = 128;
 const STREAM_TABLE: usize = 16;
+
+/// A multiplicative hasher for the engine's integer keys (request ids and
+/// line numbers): one multiply per key where the default SipHash pays
+/// dozens. The rotate in `finish` moves the product's well-mixed high bits
+/// into the low bits the table indexes by, so strided lines do not pile
+/// into one bucket. No map is iterated in an order-dependent way, so the
+/// hash function cannot change a result. Lines come from trace files, but
+/// every map is bounded by the MSHRs or the prefetcher's window and
+/// buffer, so even lines crafted to collide cost a bounded probe.
+#[derive(Debug, Default, Clone, Copy)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
+/// One outstanding demand load: where it issued in the instruction stream
+/// (for the window check) and the line it waits on (its `line_waiters`
+/// key, removed when it completes).
+#[derive(Debug, Clone, Copy)]
+struct Load {
+    position: u64,
+    line: u64,
+}
 
 /// What one [`CoreEngine::step`] call did, used by the drivers to decide
 /// whether the machine is provably frozen until the memory's next event.
@@ -255,12 +308,12 @@ pub(crate) struct CoreEngine<'t> {
     record_index: usize,
     gap_left: u32,
     issued_instructions: u64,
-    load_positions: HashMap<RequestId, u64>,
-    line_waiters: HashMap<u64, RequestId>,
+    loads: IntMap<RequestId, Load>,
+    line_waiters: IntMap<u64, RequestId>,
     oldest_load: Option<u64>,
     stall_cycles: u64,
-    prefetch_inflight: HashMap<RequestId, u64>,
-    prefetch_buffer: HashSet<u64>,
+    prefetch_inflight: IntMap<RequestId, u64>,
+    prefetch_buffer: IntSet<u64>,
     prefetch_fifo: VecDeque<u64>,
     prefetch_queue: VecDeque<u64>,
     streams: VecDeque<(u64, u64, i32)>,
@@ -275,12 +328,12 @@ impl<'t> CoreEngine<'t> {
             record_index: 0,
             gap_left: records.first().map_or(0, |r| r.gap),
             issued_instructions: 0,
-            load_positions: HashMap::new(),
-            line_waiters: HashMap::new(),
+            loads: IntMap::default(),
+            line_waiters: IntMap::default(),
             oldest_load: None,
             stall_cycles: 0,
-            prefetch_inflight: HashMap::new(),
-            prefetch_buffer: HashSet::new(),
+            prefetch_inflight: IntMap::default(),
+            prefetch_buffer: IntSet::default(),
             prefetch_fifo: VecDeque::new(),
             prefetch_queue: VecDeque::new(),
             streams: VecDeque::new(),
@@ -289,18 +342,24 @@ impl<'t> CoreEngine<'t> {
 
     /// True once the trace is fully issued and no loads are outstanding.
     pub(crate) fn is_done(&self) -> bool {
-        self.record_index >= self.records.len() && self.load_positions.is_empty()
+        self.record_index >= self.records.len() && self.loads.is_empty()
     }
 
     /// Notes completed memory requests (other cores' ids are ignored).
+    ///
+    /// A line's waiter is the one request in flight for it (a miss is
+    /// only sent while the line has none), so a completion frees its own
+    /// line's entry and no other.
     pub(crate) fn absorb_completions(&mut self, completions: &[fgnvm_types::Completion]) {
         for c in completions {
             if c.op.is_read() {
-                if self.load_positions.remove(&c.id).is_some() {
-                    self.line_waiters.retain(|_, id| *id != c.id);
-                    self.oldest_load = self.load_positions.values().copied().min();
+                if let Some(load) = self.loads.remove(&c.id) {
+                    let freed = self.line_waiters.remove(&load.line);
+                    debug_assert_eq!(freed, Some(c.id), "a load waits on its own line");
+                    self.oldest_load = self.loads.values().map(|l| l.position).min();
                 } else if let Some(line) = self.prefetch_inflight.remove(&c.id) {
-                    self.line_waiters.retain(|_, id| *id != c.id);
+                    let freed = self.line_waiters.remove(&line);
+                    debug_assert_eq!(freed, Some(c.id), "a prefetch waits on its own line");
                     if self.prefetch_buffer.insert(line) {
                         self.prefetch_fifo.push_back(line);
                         if self.prefetch_fifo.len() > PREFETCH_BUFFER_LINES {
@@ -352,6 +411,30 @@ impl<'t> CoreEngine<'t> {
         }
     }
 
+    /// Applies the next full-width gap cycles in one update, at most
+    /// `max_cycles` of them, and returns how many it applied.
+    ///
+    /// A [`step`](Self::step) that finds at least `width` gap instructions
+    /// left and `width` free window entries retires exactly `width` gap
+    /// instructions and changes nothing else: no stall, no memory call.
+    /// Neither the gap nor the window's oldest load moves until a step
+    /// issues a memory operation or a tick absorbs a completion, so the
+    /// next `min(gap, window room) / width` steps are all such cycles.
+    /// The caller caps `max_cycles` at its next memory tick.
+    pub(crate) fn leap_gap(&mut self, max_cycles: u64) -> u64 {
+        let width = u64::from(self.cfg.width);
+        // Every instruction of a cycle must pass the window check.
+        let room = self.oldest_load.map_or(u64::MAX, |oldest| {
+            u64::from(self.cfg.rob_entries).saturating_sub(self.issued_instructions - oldest)
+        });
+        let cycles = (u64::from(self.gap_left).min(room) / width).min(max_cycles);
+        let retired = cycles * width;
+        // `retired` is at most `gap_left`, a `u32`.
+        self.gap_left -= retired as u32;
+        self.issued_instructions += retired;
+        cycles
+    }
+
     /// Executes one CPU cycle: dispatches up to `width` instructions.
     pub(crate) fn step<M: MemoryBackend>(&mut self, memory: &mut M) -> StepOutcome {
         let cfg = self.cfg;
@@ -376,7 +459,7 @@ impl<'t> CoreEngine<'t> {
             match record.op {
                 Op::Read => {
                     // Pointer-chase dependence: wait for all loads.
-                    if record.dependent && !self.load_positions.is_empty() {
+                    if record.dependent && !self.loads.is_empty() {
                         break;
                     }
                     let line = record.addr.raw() >> 6;
@@ -387,13 +470,14 @@ impl<'t> CoreEngine<'t> {
                     } else if let std::collections::hash_map::Entry::Vacant(e) =
                         self.line_waiters.entry(line)
                     {
-                        if self.load_positions.len() >= cfg.mshrs as usize {
+                        if self.loads.len() >= cfg.mshrs as usize {
                             break; // no MSHR: stall
                         }
                         touched_memory = true;
                         match memory.enqueue(Op::Read, record.addr) {
                             Some(id) => {
-                                self.load_positions.insert(id, self.issued_instructions);
+                                let position = self.issued_instructions;
+                                self.loads.insert(id, Load { position, line });
                                 e.insert(id);
                                 if self.oldest_load.is_none() {
                                     self.oldest_load = Some(self.issued_instructions);
@@ -481,6 +565,7 @@ mod tests {
     use fgnvm_mem::MemorySystem;
     use fgnvm_types::address::PhysAddr;
     use fgnvm_types::config::SystemConfig;
+    use proptest::prelude::*;
 
     fn mem() -> MemorySystem {
         MemorySystem::new(SystemConfig::baseline()).unwrap()
@@ -639,5 +724,124 @@ mod tests {
             ..CoreConfig::nehalem_like()
         };
         assert!(Core::new(bad).is_err());
+    }
+
+    /// The reference for [`Core::run`]: the same loop without the gap
+    /// leap, one [`CoreEngine::step`] per CPU cycle, so every gap
+    /// instruction goes through the step loop.
+    fn run_stepped<M: MemoryBackend>(core: &Core, trace: &Trace, memory: &mut M) -> CoreResult {
+        let mut engine = CoreEngine::new(core.config, trace);
+        let start_mem_cycle = memory.now();
+        let mut cpu_cycle: u64 = 0;
+        let mut completions = Vec::new();
+        let cycle_limit = 200_000 + trace.instruction_count() * 100_000;
+        let ratio = u64::from(core.config.cpu_mem_ratio);
+        while !engine.is_done() {
+            assert!(cpu_cycle < cycle_limit, "core deadlocked against memory");
+            if cpu_cycle.is_multiple_of(ratio) {
+                completions.clear();
+                memory.tick_into(&mut completions);
+                engine.absorb_completions(&completions);
+                engine.issue_prefetches(memory);
+            }
+            let outcome = engine.step(memory);
+            cpu_cycle += 1;
+            if outcome.pure_stall() && !engine.is_done() && engine.prefetch_idle() {
+                if let Some(event) = memory.next_event_at() {
+                    let event_boundary = (event - start_mem_cycle).raw().saturating_mul(ratio);
+                    let target = event_boundary.min(cycle_limit);
+                    if target > cpu_cycle {
+                        engine.note_stalled(target - cpu_cycle);
+                        cpu_cycle = target;
+                        if target == event_boundary {
+                            completions.clear();
+                            memory.tick_to(event, &mut completions);
+                        }
+                    }
+                }
+            }
+        }
+        memory.run_until_idle(10_000_000);
+        engine.result(cpu_cycle, (memory.now() - start_mem_cycle).raw())
+    }
+
+    /// Random traces: gaps 0–300 (most not a multiple of any width),
+    /// reads, dependent reads and writes, on a line that repeats (an MSHR
+    /// merge or a prefetch-buffer hit), steps to the next line (training
+    /// the stream prefetcher), or jumps to another page.
+    fn trace_strategy() -> impl Strategy<Value = Trace> {
+        prop::collection::vec((0u32..301, 0u32..6, 0u64..8), 1..40).prop_map(|ops| {
+            let mut line = 0u64;
+            let records = ops
+                .into_iter()
+                .map(|(gap, kind, step)| {
+                    line = match step {
+                        0 => line,
+                        1..=4 => line + 1,
+                        5 => line + 64 * 37,
+                        _ => (line * 0x9E37_79B9 + step) % (1 << 20),
+                    };
+                    let addr = PhysAddr::new(line << 6);
+                    match kind {
+                        0 => TraceRecord::write(gap, addr),
+                        1 => TraceRecord::dependent_read(gap, addr),
+                        _ => TraceRecord::read(gap, addr),
+                    }
+                })
+                .collect();
+            Trace::new("random", records)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The gap leap changes nothing: `Core::run` equals the stepped
+        /// reference in the core's result, the memory's statistics and
+        /// its energy, for windows the leap must respect (a ROB of 7 at
+        /// width 3, the in-order core's single entry) and with the
+        /// memory's fast-forward off, where the pure-stall leap never
+        /// fires but the gap leap still does.
+        #[test]
+        fn gap_leap_matches_stepping(trace in trace_strategy()) {
+            let cores = [
+                CoreConfig::nehalem_like(),
+                CoreConfig::no_prefetch(),
+                CoreConfig::in_order(),
+                CoreConfig {
+                    width: 3,
+                    rob_entries: 7,
+                    ..CoreConfig::nehalem_like()
+                },
+            ];
+            let systems = [
+                SystemConfig::baseline(),
+                SystemConfig::fgnvm(8, 2).unwrap(),
+                SystemConfig::many_banks_matching(8, 2).unwrap(),
+                SystemConfig::fgnvm_multi_issue(8, 2, 2).unwrap(),
+            ];
+            for config in cores {
+                let core = Core::new(config).unwrap();
+                for system in systems {
+                    for fast_forward in [true, false] {
+                        let memory = || {
+                            let mut memory = MemorySystem::new(system).unwrap();
+                            memory.set_fast_forward(fast_forward);
+                            memory
+                        };
+                        let (mut leapt, mut stepped) = (memory(), memory());
+                        let case = format!(
+                            "{config:?} on {:?}, fast-forward {fast_forward}",
+                            system.bank_model
+                        );
+                        let result = core.run(&trace, &mut leapt);
+                        let reference = run_stepped(&core, &trace, &mut stepped);
+                        prop_assert_eq!(result, reference, "{}: {:?} vs {:?}", case, result, reference);
+                        prop_assert!(leapt.stats() == stepped.stats(), "{}: statistics differ", case);
+                        prop_assert!(leapt.energy() == stepped.energy(), "{}: energy differs", case);
+                    }
+                }
+            }
+        }
     }
 }

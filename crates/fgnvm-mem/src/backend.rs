@@ -23,9 +23,11 @@ pub trait MemoryBackend {
     /// The earliest instant at which a tick could change state (retire a
     /// completion or issue a command), or `None` when the backend is idle
     /// or cannot tell. A `Some` answer is a *lower bound*: CPU models may
-    /// leap both clocks over the dead stretch, knowing the skipped memory
+    /// leap both clocks over a pure stall, knowing the skipped memory
     /// ticks would have done nothing. The default `None` simply disables
-    /// that optimization.
+    /// that leap. The core's gap leap (`fgnvm_cpu::Core::run` retiring
+    /// compute-only cycles between two ticks in one update) never asks:
+    /// it runs against every backend, whatever this returns.
     fn next_event_at(&self) -> Option<Cycle> {
         None
     }
@@ -66,8 +68,10 @@ impl MemoryBackend for crate::MemorySystem {
 
     fn next_event_at(&self) -> Option<Cycle> {
         // Reported only while fast-forward is on, so CPU models driven by a
-        // cycle-stepped (reference) system degrade to pure stepping too —
-        // one switch controls the whole stack in differential tests.
+        // cycle-stepped (reference) system never leap a stall either — one
+        // switch controls every memory-side skip in differential tests.
+        // (The core's gap leap touches no memory state; its reference is
+        // the stepped loop in `fgnvm-cpu`'s tests.)
         if self.fast_forward_enabled() {
             crate::MemorySystem::next_event_at(self)
         } else {

@@ -24,7 +24,7 @@ use fgnvm_types::TimingCycles;
 
 use crate::bus::DataBus;
 use crate::cmdlog::{CommandLog, CommandRecord};
-use crate::queues::{BankEntries, DrainPolicy, Pending, RequestQueue};
+use crate::queues::{DrainPolicy, Pending, QueueBanks, RequestQueue};
 use crate::scheduler::{make_scheduler, BankView, Scheduler};
 use crate::stats::SystemStats;
 
@@ -191,10 +191,11 @@ pub struct Controller {
     /// [`issue_one`]: Controller::issue_one
     event_driven: bool,
     /// The read queue's entries per bank index: their count and issue
-    /// bound. Queue entries cluster on few banks, and a bank's bound gates
-    /// every entry on it alike — so the calendar scan and the gate
-    /// pre-check walk these (one bound per *occupied bank*), and the picks
-    /// skip every entry whose bank's bound is still ahead.
+    /// bound, and the set of occupied banks. Queue entries cluster on few
+    /// banks, and a bank's bound gates every entry on it alike — so the
+    /// calendar scan and the gate pre-check walk the occupied banks' set
+    /// bits (one bound per *occupied bank*, never one per bank), and the
+    /// picks skip every entry whose bank's bound is still ahead.
     ///
     /// A bound is reset to the bank's [`Bank::ready_at`] when the bank
     /// commits or is restored from a checkpoint (both queues' bounds) and
@@ -203,12 +204,13 @@ pub struct Controller {
     /// smallest `retry_at` of the queue's entries on the bank — but only
     /// when the banks declare [`Bank::stable_verdicts`], whose blocked
     /// verdicts hold until that instant while nothing commits, so the
-    /// raised bound is exactly what re-planning would find. Bounds are
-    /// derived state: restore rebuilds them and checkpoints omit them.
-    reads_by_bank: Vec<BankEntries>,
+    /// raised bound is exactly what re-planning would find. Counts, bounds
+    /// and the occupied set are derived state: restore rebuilds them and
+    /// checkpoints omit them.
+    reads_by_bank: QueueBanks,
     /// The write queue's entries per bank index; same role as
     /// [`reads_by_bank`](field@Controller::reads_by_bank).
-    writes_by_bank: Vec<BankEntries>,
+    writes_by_bank: QueueBanks,
     /// Whether every bank declares [`Bank::stable_verdicts`], so the
     /// calendar may raise issue bounds past readiness.
     stable_verdicts: bool,
@@ -338,8 +340,8 @@ impl Controller {
             next_cache: Cell::new(None),
             issue_bound: Cell::new(None),
             event_driven: true,
-            reads_by_bank: vec![BankEntries::default(); bank_count],
-            writes_by_bank: vec![BankEntries::default(); bank_count],
+            reads_by_bank: QueueBanks::new(bank_count),
+            writes_by_bank: QueueBanks::new(bank_count),
             stable_verdicts: banks.iter().all(|b| b.stable_verdicts()),
             banks,
         })
@@ -428,10 +430,11 @@ impl Controller {
                     stats.rejected += 1;
                     return Enqueue::Full;
                 }
-                let entries = &mut self.reads_by_bank[pending.bank_index];
-                entries.queued += 1;
+                self.reads_by_bank.add(pending.bank_index);
                 // The newcomer may issue as soon as its bank is ready.
-                entries.bound.set(self.banks[pending.bank_index].ready_at());
+                self.reads_by_bank[pending.bank_index]
+                    .bound
+                    .set(self.banks[pending.bank_index].ready_at());
                 stats.enqueued_reads += 1;
                 stats.note_enqueued(pending.request.tenant, true);
                 Enqueue::Accepted
@@ -456,9 +459,10 @@ impl Controller {
                     stats.rejected += 1;
                     return Enqueue::Full;
                 }
-                let entries = &mut self.writes_by_bank[pending.bank_index];
-                entries.queued += 1;
-                entries.bound.set(self.banks[pending.bank_index].ready_at());
+                self.writes_by_bank.add(pending.bank_index);
+                self.writes_by_bank[pending.bank_index]
+                    .bound
+                    .set(self.banks[pending.bank_index].ready_at());
                 stats.enqueued_writes += 1;
                 stats.note_enqueued(pending.request.tenant, false);
                 Enqueue::Accepted
@@ -559,11 +563,11 @@ impl Controller {
         }
         // Choose between the read and write queues.
         let write_pick = |me: &Self| {
-            let banks = BankView::new(&me.banks, &me.writes_by_bank);
+            let banks = BankView::new(&me.banks, me.writes_by_bank.entries());
             me.scheduler.pick_write(&me.writes, &me.reads, banks, now)
         };
         let read_pick = |me: &Self| {
-            let banks = BankView::new(&me.banks, &me.reads_by_bank);
+            let banks = BankView::new(&me.banks, me.reads_by_bank.entries());
             me.scheduler.pick_read(&me.reads, banks, now)
         };
 
@@ -637,9 +641,9 @@ impl Controller {
             }
         };
         if from_writes {
-            self.writes_by_bank[pending.bank_index].queued -= 1;
+            self.writes_by_bank.remove(pending.bank_index);
         } else {
-            self.reads_by_bank[pending.bank_index].queued -= 1;
+            self.reads_by_bank.remove(pending.bank_index);
         }
         // Rank-to-rank bus turnaround: a burst from a different rank than
         // the previous one cannot start until tRTRS after it ends.
@@ -776,7 +780,7 @@ impl Controller {
             debug_assert!(requeued, "slot was freed by the remove above");
             if requeued {
                 // The commit above already reset this bank's bounds.
-                self.writes_by_bank[pending.bank_index].queued += 1;
+                self.writes_by_bank.add(pending.bank_index);
             }
         } else {
             // Writes are posted: report completion when the cells finish
@@ -921,7 +925,7 @@ impl Controller {
     }
 
     /// The calendar's scan: like [`next_event_at_linear`] but driven by
-    /// the per-bank occupancy counts and issue bounds (see
+    /// the occupied banks, in ascending order, and their issue bounds (see
     /// [`reads_by_bank`](field@Controller::reads_by_bank)), so a fully
     /// gated channel costs one bound read per *occupied bank* instead of
     /// one plan per queued entry. A bank is re-planned only once its bound
@@ -958,10 +962,7 @@ impl Controller {
             if !consider {
                 continue;
             }
-            for (bank_index, entries) in by_bank.iter().enumerate() {
-                if entries.queued == 0 {
-                    continue;
-                }
+            for (bank_index, entries) in by_bank.occupied() {
                 let bound = entries.bound.get();
                 if bound > now {
                     // No entry of this queue can issue on the bank before
@@ -1076,13 +1077,11 @@ impl Controller {
     /// least one entry (`Cycle::MAX` when both queues are empty). Both
     /// queues are consulted — a superset of whatever the drain policy
     /// would let the pick see, so a closed result is sound for every
-    /// scheduler.
+    /// scheduler. Only occupied banks are visited.
     fn earliest_bank_gate(&self, now: Cycle) -> Cycle {
         let mut earliest = Cycle::MAX;
-        for entries in self.reads_by_bank.iter().chain(&self.writes_by_bank) {
-            if entries.queued == 0 {
-                continue;
-            }
+        let occupied = self.reads_by_bank.occupied();
+        for (_, entries) in occupied.chain(self.writes_by_bank.occupied()) {
             let bound = entries.bound.get();
             if bound <= now {
                 return now;
@@ -1364,20 +1363,15 @@ impl Controller {
             ("write", &self.writes, &mut self.writes_by_bank),
         ];
         for (label, queue, by_bank) in queues {
-            for (entries, bank) in by_bank.iter_mut().zip(&self.banks) {
-                *entries = BankEntries {
-                    queued: 0,
-                    bound: bank.ready_at().into(),
-                };
-            }
+            by_bank.reset(|bank| self.banks[bank].ready_at());
             for p in queue.iter() {
-                let Some(entries) = by_bank.get_mut(p.bank_index) else {
+                if p.bank_index >= n_banks {
                     return Err(fgnvm_types::SnapshotError::Corrupt(format!(
                         "queued {label} names bank {}, channel has {n_banks} banks",
                         p.bank_index
                     )));
-                };
-                entries.queued += 1;
+                }
+                by_bank.add(p.bank_index);
             }
         }
         // Restored queues can legally hold a full complement of requests;

@@ -37,6 +37,105 @@ pub(crate) struct BankEntries {
     pub(crate) bound: Cell<Cycle>,
 }
 
+/// One queue's [`BankEntries`] for every bank of a channel, plus a bitset
+/// of the banks that hold at least one entry: a bank's bit is set when its
+/// count goes 0 → 1 and cleared when it goes 1 → 0. Walking the set bits
+/// visits only occupied banks, in ascending bank order, for one word read
+/// per 64 banks. The bitset is derived from the counts, so checkpoints
+/// omit it and a restore rebuilds it with them.
+#[derive(Debug, Clone)]
+pub(crate) struct QueueBanks {
+    entries: Vec<BankEntries>,
+    occupied: Vec<u64>,
+}
+
+impl QueueBanks {
+    /// No entries on any of `banks` banks.
+    pub(crate) fn new(banks: usize) -> Self {
+        QueueBanks {
+            entries: vec![BankEntries::default(); banks],
+            occupied: vec![0; banks.div_ceil(64)],
+        }
+    }
+
+    /// Every bank's entries, by bank index.
+    pub(crate) fn entries(&self) -> &[BankEntries] {
+        &self.entries
+    }
+
+    /// Counts one more entry on `bank`.
+    pub(crate) fn add(&mut self, bank: usize) {
+        let entries = &mut self.entries[bank];
+        entries.queued += 1;
+        if entries.queued == 1 {
+            self.occupied[bank / 64] |= 1 << (bank % 64);
+        }
+    }
+
+    /// Counts one entry fewer on `bank`.
+    pub(crate) fn remove(&mut self, bank: usize) {
+        let entries = &mut self.entries[bank];
+        entries.queued -= 1;
+        if entries.queued == 0 {
+            self.occupied[bank / 64] &= !(1 << (bank % 64));
+        }
+    }
+
+    /// Empties every bank and resets each bank's bound to `bound(bank)`.
+    pub(crate) fn reset(&mut self, bound: impl Fn(usize) -> Cycle) {
+        for (bank, entries) in self.entries.iter_mut().enumerate() {
+            *entries = BankEntries {
+                queued: 0,
+                bound: bound(bank).into(),
+            };
+        }
+        self.occupied.fill(0);
+    }
+
+    /// The banks holding at least one entry, with their entries, in
+    /// ascending bank order.
+    pub(crate) fn occupied(&self) -> Occupied<'_> {
+        Occupied {
+            entries: &self.entries,
+            words: &self.occupied,
+            word: 0,
+            bits: self.occupied.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for QueueBanks {
+    type Output = BankEntries;
+
+    fn index(&self, bank: usize) -> &BankEntries {
+        &self.entries[bank]
+    }
+}
+
+/// The iterator [`QueueBanks::occupied`] returns.
+#[derive(Debug)]
+pub(crate) struct Occupied<'a> {
+    entries: &'a [BankEntries],
+    words: &'a [u64],
+    word: usize,
+    /// The set bits of `words[word]` not yet visited.
+    bits: u64,
+}
+
+impl<'a> Iterator for Occupied<'a> {
+    type Item = (usize, &'a BankEntries);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.words.get(self.word)?;
+        }
+        let bank = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((bank, &self.entries[bank]))
+    }
+}
+
 /// One physical slot: a pending request, or the tombstone a mid-queue
 /// removal left behind.
 #[derive(Debug, Clone, Copy)]
@@ -374,6 +473,26 @@ mod tests {
             },
             bank_index: 0,
         }
+    }
+
+    #[test]
+    fn occupied_banks_track_counts_across_words() {
+        let mut banks = QueueBanks::new(130);
+        let occupied = |b: &QueueBanks| b.occupied().map(|(i, _)| i).collect::<Vec<_>>();
+        assert!(occupied(&banks).is_empty());
+        for bank in [129, 3, 64, 63, 3, 0] {
+            banks.add(bank);
+        }
+        assert_eq!(occupied(&banks), [0, 3, 63, 64, 129]);
+        banks.remove(3);
+        banks.remove(64);
+        assert_eq!(occupied(&banks), [0, 3, 63, 129]);
+        assert_eq!(banks[3].queued, 1);
+        banks.remove(3);
+        assert_eq!(occupied(&banks), [0, 63, 129]);
+        banks.reset(|bank| Cycle::new(bank as u64));
+        assert!(occupied(&banks).is_empty());
+        assert_eq!(banks[129].bound.get(), Cycle::new(129));
     }
 
     #[test]

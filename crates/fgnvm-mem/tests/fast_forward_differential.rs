@@ -537,6 +537,8 @@ proptest! {
             ("pausing 8x8", SystemConfig::fgnvm_with_pausing(8, 8).unwrap()),
             ("qos 8x2", qos_8x2()),
             ("dram", SystemConfig::dram()),
+            // 128 banks: the occupied-bank sets span two words.
+            ("many-banks 8x2", SystemConfig::many_banks_matching(8, 2).unwrap()),
         ] {
             drive_checking_calendar(name, &config, &reqs);
         }

@@ -99,17 +99,12 @@ fn needs(placeholder: &str) -> &str {
 pub struct Cli {
     bin: &'static str,
     flags: &'static [Flag],
-    /// Registered studies, each a command reading [`STUDY`].
+    /// Registered studies, each a command reading its own flags.
     studies: &'static [Study],
     /// Each other command as its usage line without placeholders: its
     /// name, its positional arguments, then every flag it reads.
     commands: &'static [&'static str],
 }
-
-/// What every study reads.
-const STUDY: &str = "--ops --seed --csv --md --json --out --jobs";
-/// What a study with a `--horizon` variant reads.
-const HORIZON_STUDY: &str = "--ops --seed --horizon --csv --md --json --out --jobs";
 
 /// `fgnvm-repro`: the studies and the commands around them.
 pub static REPRO: Cli = Cli {
@@ -191,14 +186,10 @@ impl Cli {
 
     /// Every command's name with the rest of its usage line, studies first.
     fn commands(&self) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
-        let study = |s: &Study| match s.horizon {
-            Some(_) => (s.command, HORIZON_STUDY),
-            None => (s.command, STUDY),
-        };
         let command = |c: &&'static str| c.split_once(' ').unwrap_or((*c, ""));
         self.studies
             .iter()
-            .map(study)
+            .map(|s| (s.command, s.flags))
             .chain(self.commands.iter().map(command))
     }
 
@@ -216,15 +207,20 @@ impl Cli {
         line
     }
 
-    /// The usage text: every study, then every other command with its
-    /// flags.
+    /// The usage text: every study under the synopsis of the flags it
+    /// reads (one synopsis per run of studies reading the same flags),
+    /// then every other command with its flags.
     pub fn usage(&self) -> String {
         let mut text = format!("usage: {} <command> [arguments] [flags]\n", self.bin);
-        if !self.studies.is_empty() {
-            text += &format!("\nstudies: {}", self.synopsis("<study>", STUDY));
-            for s in self.studies {
-                text += &format!("\n  {:<12} {}", s.command, s.about);
+        let mut flags = None;
+        for s in self.studies {
+            if flags != Some(s.flags) {
+                text += &format!("\nstudies: {}", self.synopsis("<study>", s.flags));
+                flags = Some(s.flags);
             }
+            text += &format!("\n  {:<12} {}", s.command, s.about);
+        }
+        if !self.studies.is_empty() {
             text += "\n";
         }
         text += "\ncommands:";
@@ -377,6 +373,9 @@ mod tests {
                 "fairness does not take --telemetry-out",
             ),
             ("observe --bogus", "unknown flag: --bogus"),
+            ("table1 --ops 10", "table1 does not take --ops"),
+            ("table2 --seed 3", "table2 does not take --seed"),
+            ("table2 --jobs 2", "table2 does not take --jobs"),
         ] {
             let error = REPRO.parse(words(line)).expect_err(line);
             let name = line.split(' ').next().expect("a command");

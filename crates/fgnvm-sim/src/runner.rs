@@ -341,7 +341,13 @@ mod tests {
             fast_forward: false,
             ..fast
         };
-        for cfg in [SystemConfig::baseline(), SystemConfig::fgnvm(8, 2).unwrap()] {
+        // Every Figure 4 design.
+        for cfg in [
+            SystemConfig::baseline(),
+            SystemConfig::fgnvm(8, 2).unwrap(),
+            SystemConfig::many_banks_matching(8, 2).unwrap(),
+            SystemConfig::fgnvm_multi_issue(8, 2, 2).unwrap(),
+        ] {
             let a = run_one(&trace, &cfg, &fast).unwrap();
             let b = run_one(&trace, &cfg, &stepped).unwrap();
             assert_eq!(a, b, "fast-forward diverged from stepping");

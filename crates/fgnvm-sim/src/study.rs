@@ -367,7 +367,17 @@ pub struct Study {
     pub run: Run,
     /// The variant `--horizon N` selects instead, if the study has one.
     pub horizon: Option<Run>,
+    /// The `fgnvm-repro` flags the study reads, space-separated in usage
+    /// order; its command line refuses any other.
+    pub flags: &'static str,
 }
+
+/// What a study that runs traces reads: their length and seed, the
+/// output format, and the sweep's worker count.
+const SIMULATED: &str = "--ops --seed --csv --md --json --out --jobs";
+
+/// What a static table reads: the output format only.
+const STATIC: &str = "--csv --md --json --out";
 
 const fn study(command: &'static str, about: &'static str, run: Run) -> Study {
     Study {
@@ -375,17 +385,24 @@ const fn study(command: &'static str, about: &'static str, run: Run) -> Study {
         about,
         run,
         horizon: None,
+        flags: SIMULATED,
     }
 }
 
 /// Every study, in the order `fgnvm-repro all` prints them.
 pub static STUDIES: [Study; 27] = [
-    study("table1", "area overheads (Table 1)", |_| {
-        Ok(experiment::table1())
-    }),
-    study("table2", "memory system setup (Table 2)", |_| {
-        Ok(experiment::table2())
-    }),
+    Study {
+        flags: STATIC,
+        ..study("table1", "area overheads (Table 1)", |_| {
+            Ok(experiment::table1())
+        })
+    },
+    Study {
+        flags: STATIC,
+        ..study("table2", "memory system setup (Table 2)", |_| {
+            Ok(experiment::table2())
+        })
+    },
     study(
         "fig4",
         "relative IPC: FgNVM / 128 banks / Multi-Issue (Figure 4)",
@@ -492,6 +509,7 @@ pub static STUDIES: [Study; 27] = [
     ),
     Study {
         horizon: Some(extensions::reliability_horizon),
+        flags: "--ops --seed --horizon --csv --md --json --out --jobs",
         ..study(
             "reliability",
             "fault injection: RBER x write-verify sweep through ECC/retry/remap \
@@ -572,6 +590,9 @@ mod tests {
                 s.command
             );
             assert!(std::ptr::eq(find(s.command).unwrap(), s));
+            // A study reads --horizon exactly when it has a horizon run.
+            let horizon = s.flags.split_whitespace().any(|f| f == "--horizon");
+            assert_eq!(horizon, s.horizon.is_some(), "{}", s.command);
         }
         assert!(find("bogus").is_none());
     }

@@ -226,6 +226,20 @@ fn table1_refuses_horizon() {
 }
 
 #[test]
+fn static_tables_refuse_the_flags_of_a_simulated_study() {
+    // table1 and table2 run no traces: no length, no seed, no sweep.
+    for study in ["table1", "table2"] {
+        for (flag, value) in [("--ops", "600"), ("--seed", "3"), ("--jobs", "2")] {
+            let out = run(REPRO, &[study, flag, value]);
+            assert_fails(&out, &format!("{study} does not take {flag}"));
+            assert!(stderr(&out).contains(&format!(
+                "usage: fgnvm-repro {study} [--csv] [--md] [--json] [--out DIR]\n"
+            )));
+        }
+    }
+}
+
+#[test]
 fn regress_refuses_seed() {
     // regress always runs its recorded seed, 7.
     assert_fails(
