@@ -181,7 +181,7 @@ impl FaultModel {
         r: &mut fgnvm_types::SnapshotReader<'_>,
     ) -> Result<(), fgnvm_types::SnapshotError> {
         r.tag("faults")?;
-        let n = r.usize()?;
+        let n = r.count()?;
         let mut rows = HashMap::with_capacity(n);
         for _ in 0..n {
             let row = r.u32()?;

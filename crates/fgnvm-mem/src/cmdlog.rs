@@ -165,7 +165,7 @@ impl CommandLog {
         r.tag("cmdlog")?;
         let capacity = r.usize()?;
         let dropped = r.u64()?;
-        let n = r.usize()?;
+        let n = r.count()?;
         let mut records = VecDeque::with_capacity(n);
         for _ in 0..n {
             let at = Cycle::new(r.u64()?);
@@ -260,6 +260,21 @@ mod tests {
         assert_eq!(log.dropped(), 3);
         let ats: Vec<u64> = log.records().map(|r| r.at.raw()).collect();
         assert_eq!(ats, vec![3, 4]);
+    }
+
+    #[test]
+    fn a_sealed_section_claiming_more_records_than_bytes_is_corrupt() {
+        let mut w = fgnvm_types::SnapshotWriter::new();
+        w.tag("cmdlog");
+        w.usize(4);
+        w.u64(0);
+        w.usize(1 << 40);
+        let bytes = w.finish();
+        let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("sealed");
+        assert!(matches!(
+            CommandLog::load_state(&mut r),
+            Err(fgnvm_types::SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

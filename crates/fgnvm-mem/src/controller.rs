@@ -1289,7 +1289,7 @@ impl Controller {
         }
         self.reads.load_state(r)?;
         self.writes.load_state(r)?;
-        let n_events = r.usize()?;
+        let n_events = r.count()?;
         self.events.clear();
         for _ in 0..n_events {
             let at = Cycle::new(r.u64()?);
@@ -1334,7 +1334,7 @@ impl Controller {
                 }
             }
         }
-        let n_bad = r.usize()?;
+        let n_bad = r.count()?;
         self.bad_rows.clear();
         for _ in 0..n_bad {
             let bank_index = r.usize()?;

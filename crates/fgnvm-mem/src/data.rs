@@ -138,7 +138,7 @@ impl DataStore {
                 "line size {line_bytes} is not a positive power of two"
             )));
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         let mut lines = HashMap::with_capacity(n);
         for _ in 0..n {
             let idx = r.u64()?;

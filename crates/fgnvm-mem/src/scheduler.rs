@@ -588,12 +588,7 @@ impl Scheduler for FrfcfsQos {
         r: &mut fgnvm_types::SnapshotReader<'_>,
     ) -> Result<(), fgnvm_types::SnapshotError> {
         r.tag("sched.qos")?;
-        let n = r.usize()?;
-        if n > usize::from(u16::MAX) + 1 {
-            return Err(fgnvm_types::SnapshotError::Corrupt(format!(
-                "QoS scheduler claims {n} tenants"
-            )));
-        }
+        let n = r.count()?;
         let mut served = Vec::with_capacity(n);
         for _ in 0..n {
             served.push(r.u64()?);

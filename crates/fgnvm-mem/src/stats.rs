@@ -283,8 +283,7 @@ impl SystemStats {
         for b in &mut s.write_latency_hist {
             *b = r.u64()?;
         }
-        let n_tenants = r.usize()?;
-        for _ in 0..n_tenants.min(u16::MAX as usize + 1) {
+        for _ in 0..r.count()? {
             s.tenants.push(TenantStats::load_state(r)?);
         }
         Ok(s)

@@ -1291,7 +1291,7 @@ impl MemorySystem {
                 l.load_state(&mut r)?;
             }
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.samples = Vec::with_capacity(n);
         for _ in 0..n {
             mem.samples.push(Sample {
@@ -1303,25 +1303,25 @@ impl MemorySystem {
                 write_queue: r.usize()?,
             });
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.bad_rows = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.usize()?, r.u32()?);
             mem.bad_rows.insert(key, r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.spares_used = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.usize()?);
             mem.spares_used.insert(key, r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.retired = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.usize()?);
             mem.retired.insert(key, r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.read_only = HashSet::with_capacity(n);
         for _ in 0..n {
             mem.read_only.insert((r.u32()?, r.usize()?));

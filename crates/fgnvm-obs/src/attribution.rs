@@ -281,6 +281,45 @@ struct Window {
     cd_count: u32,
 }
 
+/// One bank's command history: the occupancy windows a future wait can
+/// still overlap, and the heatmap's per-SAG and per-CD busy-until
+/// maxima, which `prune` never drops.
+#[derive(Debug)]
+struct BankHistory {
+    windows: Vec<Window>,
+    sag_busy_until: Vec<u64>,
+    cd_busy_until: Vec<u64>,
+}
+
+impl BankHistory {
+    fn new(p: &AttributionParams) -> Self {
+        BankHistory {
+            windows: Vec::new(),
+            sag_busy_until: vec![0; p.sags.max(1) as usize],
+            cd_busy_until: vec![0; p.cds.max(1) as usize],
+        }
+    }
+
+    /// Holds `cmd`'s SAG and first CD (clamped into the grid) until its
+    /// data burst ends, for a read, or until it completes, for a write.
+    /// Returns the cycle either was held until before `cmd`.
+    fn hold(&mut self, cmd: &CommandIssue<'_>) -> u64 {
+        let until = if cmd.is_read {
+            cmd.data_end
+        } else {
+            cmd.completion
+        };
+        let sag_last = self.sag_busy_until.len() - 1;
+        let cd_last = self.cd_busy_until.len() - 1;
+        let sag = &mut self.sag_busy_until[(cmd.sag as usize).min(sag_last)];
+        let cd = &mut self.cd_busy_until[(cmd.cd as usize).min(cd_last)];
+        let busy = (*sag).max(*cd);
+        *sag = (*sag).max(until);
+        *cd = (*cd).max(until);
+        busy
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct OpenReq {
     arrival: u64,
@@ -300,8 +339,9 @@ struct OpenReq {
 pub struct Attribution {
     params: AttributionParams,
     open: HashMap<u64, OpenReq>,
-    /// Per-(channel, bank) command history, pruned as requests retire.
-    windows: HashMap<(u32, u32), Vec<Window>>,
+    /// Per-(channel, bank) command history; its windows are pruned as
+    /// requests retire.
+    banks: HashMap<(u32, u32), BankHistory>,
     /// Per-(channel, rank) activation start cycles (tFAW reconstruction).
     acts: HashMap<(u32, u32), Vec<u64>>,
     /// Aggregate over completed reads.
@@ -370,7 +410,9 @@ impl Attribution {
     /// Hook: a command issued. Attributes the wait since the last mark and
     /// the command's own pre-burst and burst segments, then advances the
     /// mark to the burst end (the completion hook attributes the tail).
-    pub fn on_command(&mut self, cmd: &CommandIssue<'_>) {
+    /// Returns the cycle the command's SAG or first CD was held until
+    /// before it issued: the heatmap's conflict rule reads it.
+    pub fn on_command(&mut self, cmd: &CommandIssue<'_>) -> u64 {
         self.last_wait = None;
         let rank = cmd
             .bank
@@ -385,9 +427,12 @@ impl Attribution {
             }
         };
         let activation = cmd.kind == "activate" || cmd.kind == "underfetch";
-        let windows = self.windows.entry((cmd.channel, cmd.bank)).or_default();
+        let bank = self
+            .banks
+            .entry((cmd.channel, cmd.bank))
+            .or_insert_with(|| BankHistory::new(&self.params));
         debug_assert!(
-            windows.last().is_none_or(|w| w.at <= cmd.at),
+            bank.windows.last().is_none_or(|w| w.at <= cmd.at),
             "per-bank command windows must stay in issue order"
         );
         if let Some(r) = self.open.get_mut(&cmd.id) {
@@ -401,7 +446,7 @@ impl Attribution {
                 };
                 classify_wait(
                     &self.params,
-                    windows,
+                    &bank.windows,
                     acts.map_or(&[], Vec::as_slice),
                     cmd,
                     (w0, at),
@@ -452,7 +497,7 @@ impl Attribution {
             r.last_retries = cmd.retries;
         }
         // Record this command's occupancy window for later waiters.
-        windows.push(Window {
+        bank.windows.push(Window {
             at: cmd.at,
             end: cmd.completion.max(cmd.data_end),
             is_write: !cmd.is_read,
@@ -460,6 +505,7 @@ impl Attribution {
             cd_first: cmd.cd,
             cd_count: cmd.cd_count.max(1),
         });
+        let busy = bank.hold(cmd);
         if self.params.t_faw.is_some() && activation {
             self.acts
                 .entry((cmd.channel, rank))
@@ -467,6 +513,7 @@ impl Attribution {
                 .push(cmd.at);
         }
         self.prune(cmd.at);
+        busy
     }
 
     /// Hook: request `id` completed at `now`. Attributes the tail, tallies
@@ -546,10 +593,11 @@ impl Attribution {
         self.last_wait.take()
     }
 
-    /// Serialize the full tracker state — open requests, command-history
-    /// windows, activation history, aggregates, and the offense tallies —
-    /// into a checkpoint. `params` are *not* written: they are static
-    /// model facts rebuilt from the configuration at restore time.
+    /// Serialize the full tracker state — open requests, each bank's
+    /// command windows and tile clocks, activation history, aggregates,
+    /// and the offense tallies — into a checkpoint. `params` are *not*
+    /// written: they are static model facts rebuilt from the
+    /// configuration at restore time.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("attr");
         let mut ids: Vec<u64> = self.open.keys().copied().collect();
@@ -572,21 +620,27 @@ impl Attribution {
             w.u64(r.marks.data_start);
             w.u64(r.marks.data_end);
         }
-        let mut keys: Vec<(u32, u32)> = self.windows.keys().copied().collect();
+        let mut keys: Vec<(u32, u32)> = self.banks.keys().copied().collect();
         keys.sort_unstable();
         w.usize(keys.len());
         for key in keys {
-            let list = &self.windows[&key];
+            let bank = &self.banks[&key];
             w.u32(key.0);
             w.u32(key.1);
-            w.usize(list.len());
-            for win in list {
+            w.usize(bank.windows.len());
+            for win in &bank.windows {
                 w.u64(win.at);
                 w.u64(win.end);
                 w.bool(win.is_write);
                 w.u32(win.sag);
                 w.u32(win.cd_first);
                 w.u32(win.cd_count);
+            }
+            for clocks in [&bank.sag_busy_until, &bank.cd_busy_until] {
+                w.usize(clocks.len());
+                for v in clocks {
+                    w.u64(*v);
+                }
             }
         }
         let mut keys: Vec<(u32, u32)> = self.acts.keys().copied().collect();
@@ -634,13 +688,14 @@ impl Attribution {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`](fgnvm_types::SnapshotError) on a
-    /// truncated or mistagged stream.
+    /// truncated or mistagged stream, or a bank whose tile clocks do not
+    /// match this tracker's SAG × CD grid.
     pub fn load_state(
         &mut self,
         r: &mut fgnvm_types::SnapshotReader<'_>,
     ) -> Result<(), fgnvm_types::SnapshotError> {
         r.tag("attr")?;
-        let n = r.usize()?;
+        let n = r.count()?;
         self.open = HashMap::with_capacity(n);
         for _ in 0..n {
             let id = r.u64()?;
@@ -674,14 +729,15 @@ impl Attribution {
                 },
             );
         }
-        let n = r.usize()?;
-        self.windows = HashMap::with_capacity(n);
+        let n = r.count()?;
+        self.banks = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
-            let len = r.usize()?;
-            let mut list = Vec::with_capacity(len);
+            let mut bank = BankHistory::new(&self.params);
+            let len = r.count()?;
+            bank.windows = Vec::with_capacity(len);
             for _ in 0..len {
-                list.push(Window {
+                bank.windows.push(Window {
                     at: r.u64()?,
                     end: r.u64()?,
                     is_write: r.bool()?,
@@ -690,13 +746,28 @@ impl Attribution {
                     cd_count: r.u32()?,
                 });
             }
-            self.windows.insert(key, list);
+            for (axis, clocks) in [
+                ("SAG", &mut bank.sag_busy_until),
+                ("CD", &mut bank.cd_busy_until),
+            ] {
+                let len = r.count()?;
+                if len != clocks.len() {
+                    return Err(fgnvm_types::SnapshotError::Corrupt(format!(
+                        "bank {key:?} has {len} {axis} clocks, the grid has {}",
+                        clocks.len()
+                    )));
+                }
+                for v in clocks.iter_mut() {
+                    *v = r.u64()?;
+                }
+            }
+            self.banks.insert(key, bank);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         self.acts = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
-            let len = r.usize()?;
+            let len = r.count()?;
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
                 list.push(r.u64()?);
@@ -748,7 +819,7 @@ impl Attribution {
     fn prune(&mut self, now: u64) {
         const KEEP: usize = 96;
         let over = self.open.is_empty()
-            || self.windows.values().any(|v| v.len() > KEEP)
+            || self.banks.values().any(|b| b.windows.len() > KEEP)
             || self.acts.values().any(|v| v.len() > KEEP);
         if !over {
             return;
@@ -761,8 +832,8 @@ impl Attribution {
             .unwrap_or(now)
             .min(now);
         let faw = self.params.t_faw.unwrap_or(0);
-        for list in self.windows.values_mut() {
-            list.retain(|w| w.end > horizon);
+        for bank in self.banks.values_mut() {
+            bank.windows.retain(|w| w.end > horizon);
         }
         for list in self.acts.values_mut() {
             // An activation still matters while its tFAW window can gate a
@@ -1239,6 +1310,29 @@ mod tests {
         assert_eq!((restored.leaks, restored.illegal_reads), (1, 1));
         assert_eq!(restored.first_offense.map(|r| r.id), Some(1));
         assert_eq!(restored.to_json(), a.to_json());
+    }
+
+    #[test]
+    fn tile_clocks_off_the_grid_are_refused() {
+        let mut a = Attribution::new(AttributionParams::bare(2, 2));
+        a.on_command(&cmd(1, 0));
+        let mut w = fgnvm_types::SnapshotWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.finish();
+        for (sags, cds) in [(4, 2), (2, 4)] {
+            let mut restored = Attribution::new(AttributionParams::bare(sags, cds));
+            let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+            assert!(
+                matches!(
+                    restored.load_state(&mut r),
+                    Err(fgnvm_types::SnapshotError::Corrupt(_))
+                ),
+                "{sags}x{cds}"
+            );
+        }
+        let mut same = Attribution::new(AttributionParams::bare(2, 2));
+        let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+        same.load_state(&mut r).expect("the grid it was saved from");
     }
 
     #[test]

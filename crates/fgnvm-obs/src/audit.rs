@@ -274,8 +274,8 @@ impl AuditLog {
         )
     }
 
-    /// Serialize the full log (grid dimensions included, so a restore
-    /// needs no caller input) into a checkpoint.
+    /// Serialize the full log (grid dimensions included, so a restore can
+    /// check them) into a checkpoint.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("audit");
         w.u32(self.sags);
@@ -299,37 +299,44 @@ impl AuditLog {
         }
     }
 
-    /// Restore a log written by [`AuditLog::save_state`].
+    /// Restore a log written by [`AuditLog::save_state`] into this one,
+    /// replacing its current contents.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`](fgnvm_types::SnapshotError) on a
-    /// truncated or mistagged stream.
+    /// truncated or mistagged stream, or when the checkpoint's grid
+    /// dimensions disagree with this log's.
     pub fn load_state(
+        &mut self,
         r: &mut fgnvm_types::SnapshotReader<'_>,
-    ) -> Result<AuditLog, fgnvm_types::SnapshotError> {
+    ) -> Result<(), fgnvm_types::SnapshotError> {
         r.tag("audit")?;
-        let sags = r.u32()?;
-        let cds = r.u32()?;
-        let mut log = AuditLog::new(sags, cds);
-        log.issues = r.u64()?;
-        log.issues_read = r.u64()?;
-        log.issues_write = r.u64()?;
-        log.considered_total = r.u64()?;
-        log.ready_total = r.u64()?;
-        log.opportunity_total = r.u64()?;
-        for c in &mut log.blocked {
+        let dims = (r.u32()?, r.u32()?);
+        if dims != self.dims() {
+            return Err(fgnvm_types::SnapshotError::Corrupt(format!(
+                "checkpoint audit grid is {}x{}, observer grid is {}x{}",
+                dims.0, dims.1, self.sags, self.cds
+            )));
+        }
+        self.issues = r.u64()?;
+        self.issues_read = r.u64()?;
+        self.issues_write = r.u64()?;
+        self.considered_total = r.u64()?;
+        self.ready_total = r.u64()?;
+        self.opportunity_total = r.u64()?;
+        for c in &mut self.blocked {
             *c = r.u64()?;
         }
-        for c in &mut log.parallelism_hist {
+        for c in &mut self.parallelism_hist {
             *c = r.u64()?;
         }
-        log.solo_decisions = r.u64()?;
-        log.empty_queue_opportunity = r.u64()?;
-        for c in &mut log.missed {
+        self.solo_decisions = r.u64()?;
+        self.empty_queue_opportunity = r.u64()?;
+        for c in &mut self.missed {
             *c = r.u64()?;
         }
-        Ok(log)
+        Ok(())
     }
 }
 
@@ -411,8 +418,15 @@ mod tests {
         log.save_state(&mut w);
         let bytes = w.finish();
         let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
-        let restored = AuditLog::load_state(&mut r).expect("decodes");
+        let mut restored = AuditLog::new(8, 2);
+        restored.load_state(&mut r).expect("decodes");
         assert_eq!(restored, log);
+        // A log over another grid refuses the section before sizing it.
+        let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+        assert!(matches!(
+            AuditLog::new(4, 2).load_state(&mut r),
+            Err(fgnvm_types::SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl FlightRecorder {
         r.tag("flight")?;
         let capacity = r.usize()?.max(1);
         let total = r.u64()?;
-        let n = r.usize()?;
+        let n = r.count()?;
         if n > capacity {
             return Err(fgnvm_types::SnapshotError::Corrupt(format!(
                 "flight ring holds {n} events over its capacity {capacity}"

@@ -307,7 +307,7 @@ impl Observer {
 
     /// Hook: a command issued to a bank.
     pub fn on_command(&mut self, cmd: &CommandIssue<'_>) {
-        self.attribution.on_command(cmd);
+        let busy = self.attribution.on_command(cmd);
         let wait = self.attribution.take_last_wait();
         if let Some(ts) = &mut self.timeseries {
             ts.record_issue(cmd.at);
@@ -315,18 +315,7 @@ impl Observer {
         if let Some(flight) = &mut self.flight {
             flight.on_command(cmd, wait);
         }
-        self.heatmap.on_command(
-            cmd.channel,
-            cmd.bank,
-            cmd.sag,
-            cmd.cd,
-            cmd.kind,
-            cmd.is_read,
-            cmd.arrival,
-            cmd.at,
-            cmd.data_end,
-            cmd.completion,
-        );
+        self.heatmap.on_command(cmd, busy);
         if let Some(trace) = &mut self.trace {
             let end = if cmd.is_read {
                 cmd.data_end
@@ -527,7 +516,10 @@ impl Observer {
             None
         };
         self.audit = if r.bool()? {
-            Some(AuditLog::load_state(r)?)
+            let p = self.attribution.params();
+            let mut audit = AuditLog::new(p.sags, p.cds);
+            audit.load_state(r)?;
+            Some(audit)
         } else {
             None
         };

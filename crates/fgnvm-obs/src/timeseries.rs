@@ -239,7 +239,7 @@ impl WindowAgg {
         agg.read_queue = r.u64()?;
         agg.write_queue = r.u64()?;
         agg.draining = r.u64()?;
-        let n = r.usize()?.min(usize::from(u16::MAX) + 1);
+        let n = r.count()?;
         agg.tenants = Vec::with_capacity(n);
         for _ in 0..n {
             agg.tenants.push(TenantWindow::load_state(r)?);
@@ -500,8 +500,8 @@ impl TimeSeries {
         }
         let current = WindowAgg::load_state(r)?;
         let evicted = WindowAgg::load_state(r)?;
-        let n = r.usize()?;
-        let mut ring = VecDeque::with_capacity(n.min(1 << 16));
+        let n = r.count()?;
+        let mut ring = VecDeque::with_capacity(n);
         for _ in 0..n {
             ring.push_back(WindowAgg::load_state(r)?);
         }

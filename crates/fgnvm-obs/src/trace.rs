@@ -160,17 +160,17 @@ impl TraceSink {
         r.tag("trace")?;
         self.cap = r.usize()?;
         self.dropped = r.u64()?;
-        let n = r.usize()?;
+        let n = r.count()?;
         self.events = Vec::with_capacity(n.min(self.cap));
         for _ in 0..n {
             self.events.push(r.str()?.to_string());
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         self.named_procs = HashSet::with_capacity(n);
         for _ in 0..n {
             self.named_procs.insert(r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         self.named_tracks = HashSet::with_capacity(n);
         for _ in 0..n {
             self.named_tracks.insert((r.u32()?, r.u32()?));

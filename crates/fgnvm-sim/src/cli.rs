@@ -208,17 +208,19 @@ impl Cli {
     }
 
     /// The usage text: every study under the synopsis of the flags it
-    /// reads (one synopsis per run of studies reading the same flags),
-    /// then every other command with its flags.
+    /// reads (one synopsis per set of flags, in registry order of first
+    /// use), then every other command with its flags.
     pub fn usage(&self) -> String {
         let mut text = format!("usage: {} <command> [arguments] [flags]\n", self.bin);
-        let mut flags = None;
-        for s in self.studies {
-            if flags != Some(s.flags) {
-                text += &format!("\nstudies: {}", self.synopsis("<study>", s.flags));
-                flags = Some(s.flags);
+        for (i, study) in self.studies.iter().enumerate() {
+            let flags = study.flags;
+            if self.studies[..i].iter().any(|s| s.flags == flags) {
+                continue;
             }
-            text += &format!("\n  {:<12} {}", s.command, s.about);
+            text += &format!("\nstudies: {}", self.synopsis("<study>", flags));
+            for s in self.studies[i..].iter().filter(|s| s.flags == flags) {
+                text += &format!("\n  {:<12} {}", s.command, s.about);
+            }
         }
         if !self.studies.is_empty() {
             text += "\n";
@@ -376,6 +378,8 @@ mod tests {
             ("table1 --ops 10", "table1 does not take --ops"),
             ("table2 --seed 3", "table2 does not take --seed"),
             ("table2 --jobs 2", "table2 does not take --jobs"),
+            ("maps --jobs 2", "maps does not take --jobs"),
+            ("cores --jobs 2", "cores does not take --jobs"),
         ] {
             let error = REPRO.parse(words(line)).expect_err(line);
             let name = line.split(' ').next().expect("a command");

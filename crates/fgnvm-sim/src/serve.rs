@@ -361,8 +361,8 @@ impl ServeState {
         r.tag("serve")?;
         let next_op = r.u64()?;
         let next_arrival_at = r.u64()?;
-        let n = r.usize()?;
-        let mut backoff = Vec::with_capacity(n.min(1 << 20));
+        let n = r.count()?;
+        let mut backoff = Vec::with_capacity(n);
         for _ in 0..n {
             backoff.push(BackoffEntry {
                 retry_at: r.u64()?,
@@ -383,7 +383,7 @@ impl ServeState {
         let windows_seen = r.u64()?;
         let slo_windows = r.u64()?;
         let slo_violations = r.u64()?;
-        let n_tenants = r.usize()?.min(usize::from(u16::MAX) + 1);
+        let n_tenants = r.count()?;
         let mut tenants = Vec::with_capacity(n_tenants);
         for _ in 0..n_tenants {
             tenants.push(TenantServeState::load_state(r)?);

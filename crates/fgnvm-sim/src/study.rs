@@ -376,6 +376,10 @@ pub struct Study {
 /// output format, and the sweep's worker count.
 const SIMULATED: &str = "--ops --seed --csv --md --json --out --jobs";
 
+/// What a study whose runs never reach the sweep runner reads: no
+/// worker count.
+const SERIAL: &str = "--ops --seed --csv --md --json --out";
+
 /// What a static table reads: the output format only.
 const STATIC: &str = "--csv --md --json --out";
 
@@ -386,6 +390,14 @@ const fn study(command: &'static str, about: &'static str, run: Run) -> Study {
         run,
         horizon: None,
         flags: SIMULATED,
+    }
+}
+
+/// A study that runs its simulations one after another in its own loop.
+const fn serial(command: &'static str, about: &'static str, run: Run) -> Study {
+    Study {
+        flags: SERIAL,
+        ..study(command, about, run)
     }
 }
 
@@ -434,7 +446,7 @@ pub static STUDIES: [Study; 27] = [
         "scheduler study (FCFS / FRFCFS / TLP-augmented)",
         extensions::schedulers,
     ),
-    study("maps", "address-mapping sensitivity", extensions::mappings),
+    serial("maps", "address-mapping sensitivity", extensions::mappings),
     study(
         "tech",
         "PCM baseline vs FgNVM vs DDR3-like DRAM",
@@ -457,7 +469,7 @@ pub static STUDIES: [Study; 27] = [
         "OS page-placement (identity / scattered / SAG-striped)",
         extensions::coloring,
     ),
-    study(
+    serial(
         "timeline",
         "per-epoch power/bandwidth time series",
         extensions::timeline,
@@ -472,17 +484,17 @@ pub static STUDIES: [Study; 27] = [
         "transaction-queue depth sensitivity",
         extensions::depth_sweep,
     ),
-    study(
+    serial(
         "detail",
         "per-workload metric detail on the 8x8 FgNVM",
         extensions::detail,
     ),
-    study(
+    serial(
         "tail",
         "read-latency distribution (p50/p95/p99) under write-heavy traffic",
         extensions::tail_latency,
     ),
-    study(
+    serial(
         "wear",
         "Start-Gap wear leveling: lifetime gain vs gap-traffic cost",
         extensions::wear,
@@ -497,12 +509,12 @@ pub static STUDIES: [Study; 27] = [
         "FgNVM speedup vs core ROB/MSHR window (the MLP dependence)",
         extensions::mlp,
     ),
-    study(
+    serial(
         "cores",
         "4-core consolidation: throughput / weighted speedup / fairness",
         extensions::cores,
     ),
-    study(
+    serial(
         "hybrid",
         "DRAM-buffered PCM (ref [8]) vs and with FgNVM",
         extensions::hybrid,

@@ -425,11 +425,28 @@ mod heatmap_tests {
 
     #[test]
     fn heatmap_grid_shape_and_scaling() {
-        let mut h = fgnvm_obs::TileHeatmap::new(4, 2);
-        h.on_command(0, 0, 1, 0, "activate", true, 0, 0, 100, 100);
-        h.on_command(0, 0, 1, 0, "activate", true, 10, 100, 200, 200);
-        h.on_command(0, 0, 1, 0, "activate", true, 20, 200, 300, 300);
-        let s = render_heatmap(&h);
+        let mut obs = fgnvm_obs::Observer::new(4, 2);
+        for (arrival, at) in [(0, 0), (10, 100), (20, 200)] {
+            obs.on_command(&fgnvm_obs::CommandIssue {
+                channel: 0,
+                bank: 0,
+                id: 0,
+                is_read: true,
+                kind: "activate",
+                arrival,
+                at,
+                earliest_data: at,
+                data_start: at,
+                data_end: at + 100,
+                completion: at + 100,
+                row: 0,
+                sag: 1,
+                cd: 0,
+                cd_count: 1,
+                retries: 0,
+            });
+        }
+        let s = render_heatmap(&obs.heatmap);
         let lines: Vec<&str> = s.lines().collect();
         // Title + CD header + 4 SAG rows + CD totals.
         assert_eq!(lines.len(), 7);

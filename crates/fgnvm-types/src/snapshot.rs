@@ -50,7 +50,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FGNVMCK1";
 ///
 /// v6: the attribution section swapped its completed-request records for
 /// the offense tallies and the first offending record.
-pub const SNAPSHOT_VERSION: u32 = 6;
+///
+/// v7: the heatmap's per-bank SAG/CD busy clocks moved into the
+/// attribution section, after each bank's command windows; the heatmap
+/// section keeps only its grid.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be decoded.
 ///
@@ -373,6 +377,26 @@ impl<'a> SnapshotReader<'a> {
         usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("usize overflow: {v}")))
     }
 
+    /// Reads the element count of a collection that follows in the
+    /// stream. Every element takes at least one byte, so a count larger
+    /// than the bytes left is corrupt; refusing it keeps a loader from
+    /// sizing a collection by it and exhausting memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Corrupt`] when the count exceeds the bytes
+    /// left, and what [`SnapshotReader::usize`] returns.
+    pub fn count(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.usize()?;
+        let left = self.buf.len() - self.pos;
+        if n > left {
+            return Err(SnapshotError::Corrupt(format!(
+                "count {n} exceeds the {left} bytes left"
+            )));
+        }
+        Ok(n)
+    }
+
     /// Reads an `f64` from its IEEE-754 bit pattern.
     ///
     /// # Errors
@@ -552,6 +576,22 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn counts_beyond_the_bytes_left_are_corrupt() {
+        let mut w = SnapshotWriter::new();
+        w.usize(1 << 40);
+        w.usize(2);
+        w.u8(1);
+        w.u8(2);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        assert!(matches!(r.count(), Err(SnapshotError::Corrupt(_))));
+        // A count the remaining bytes can hold reads as it was written.
+        assert_eq!(r.count().unwrap(), 2);
+        assert_eq!((r.u8().unwrap(), r.u8().unwrap()), (1, 2));
+        r.expect_end().unwrap();
     }
 
     #[test]

@@ -240,6 +240,19 @@ fn static_tables_refuse_the_flags_of_a_simulated_study() {
 }
 
 #[test]
+fn studies_without_a_sweep_refuse_jobs() {
+    // Their runs never reach the sweep runner, so a worker count would
+    // change nothing.
+    for study in ["tail", "hybrid"] {
+        let out = run(REPRO, &[study, "--jobs", "2"]);
+        assert_fails(&out, &format!("{study} does not take --jobs"));
+        assert!(stderr(&out).contains(&format!(
+            "usage: fgnvm-repro {study} [--ops N] [--seed S] [--csv] [--md] [--json] [--out DIR]\n"
+        )));
+    }
+}
+
+#[test]
 fn regress_refuses_seed() {
     // regress always runs its recorded seed, 7.
     assert_fails(
