@@ -18,12 +18,12 @@
 //! The memory system ticks once every `cpu_mem_ratio` CPU cycles
 //! (3.2 GHz core vs 400 MHz memory controller by default).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use fgnvm_mem::MemoryBackend;
 use fgnvm_types::error::ConfigError;
 use fgnvm_types::request::{Op, RequestId};
+use fgnvm_types::{IntMap, IntSet};
 
 use crate::metrics::CoreResult;
 use crate::trace::Trace;
@@ -237,36 +237,6 @@ const PREFETCH_INFLIGHT_MAX: usize = 32;
 const PREFETCH_BUFFER_LINES: usize = 128;
 const STREAM_TABLE: usize = 16;
 
-/// A multiplicative hasher for the engine's integer keys (request ids and
-/// line numbers): one multiply per key where the default SipHash pays
-/// dozens. The rotate in `finish` moves the product's well-mixed high bits
-/// into the low bits the table indexes by, so strided lines do not pile
-/// into one bucket. No map is iterated in an order-dependent way, so the
-/// hash function cannot change a result. Lines come from trace files, but
-/// every map is bounded by the MSHRs or the prefetcher's window and
-/// buffer, so even lines crafted to collide cost a bounded probe.
-#[derive(Debug, Default, Clone, Copy)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
-
 /// One outstanding demand load: where it issued in the instruction stream
 /// (for the window check) and the line it waits on (its `line_waiters`
 /// key, removed when it completes).
@@ -308,6 +278,9 @@ pub(crate) struct CoreEngine<'t> {
     record_index: usize,
     gap_left: u32,
     issued_instructions: u64,
+    // The integer maps skip SipHash. Lines come from trace files, but
+    // every map is bounded by the MSHRs or the prefetcher's window and
+    // buffer, so even lines crafted to collide cost a bounded probe.
     loads: IntMap<RequestId, Load>,
     line_waiters: IntMap<u64, RequestId>,
     oldest_load: Option<u64>,

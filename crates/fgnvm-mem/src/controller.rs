@@ -55,18 +55,20 @@ struct Event {
 const T_RTRS: CycleCount = CycleCount::new(2);
 
 /// One slot of the channel's next-event calendar: the memoized result of
-/// [`Controller::next_event_at`].
+/// [`Controller::next_event_at`], stored with the cycle it was computed at.
 ///
-/// The memo is sound: a value computed at `t0` is never later than what a
-/// fresh scan would return for any query instant in `(t0, value)`, as long
-/// as no state mutation (enqueue, event retirement, command issue, or
-/// checkpoint restore) happened in between — and every mutation path clears
-/// the memo. The event heap's head, the drain flag (whose per-tick update
-/// is a fixpoint under constant occupancy — see [`DrainPolicy::update`])
-/// and bank readiness ([`Bank::ready_at`]) are state-derived instants; so
-/// are blocked-plan retry instants on banks with
-/// [`Bank::stable_verdicts`], which makes the memo exact on a channel of
-/// such banks. Two models' verdicts also depend on the query time: a DRAM
+/// The memo is sound: a value computed at `t0` is exactly what a fresh
+/// scan would return when asked again at `t0` (which would only store the
+/// issue bounds the first scan stored), and never later than what one
+/// would return for any query instant in `(t0, value)`, as long as no
+/// state mutation (enqueue, event retirement, command issue, or
+/// checkpoint restore) happened in between — and every mutation path
+/// clears the memo. The event heap's head, the drain flag (whose
+/// per-tick update is a fixpoint under constant occupancy — see
+/// [`DrainPolicy::update`]) and bank readiness ([`Bank::ready_at`]) are
+/// state-derived instants; so are blocked-plan retry instants on banks
+/// with [`Bank::stable_verdicts`], which makes the memo exact on a
+/// channel of such banks. Two models' verdicts also depend on the query time: a DRAM
 /// refresh window can open before a blocked access's `retry_at`, and a
 /// pausing FgNVM read loses its pause as the write nears its end. Both
 /// only ever add a gate, so an access blocked at `t0` stays blocked until
@@ -165,10 +167,11 @@ pub struct Controller {
     /// fabricated plan whenever the scheduler finds nothing legal to issue.
     chaos: bool,
     /// This channel's calendar slot: the memoized [`next_event_at`]
-    /// result, cleared by every state mutation (see `NextAt`).
+    /// result and the cycle it was computed at, cleared by every state
+    /// mutation (see `NextAt`).
     ///
     /// [`next_event_at`]: Controller::next_event_at
-    next_cache: Cell<Option<NextAt>>,
+    next_cache: Cell<Option<(Cycle, NextAt)>>,
     /// Memoized issue bound: when `Some(b)`, no command can legally issue
     /// strictly before cycle `b`. Unlike [`next_cache`] this survives
     /// completion retirements — retiring an event touches neither queues
@@ -896,20 +899,22 @@ impl Controller {
     /// skipping to it can never jump over real work.
     ///
     /// The result is memoized in this channel's calendar slot and reused
-    /// until it expires or a state mutation clears it (see `NextAt`); the
-    /// calendar differential suite holds every recomputed value equal to
+    /// at the cycle it was computed at and until it expires, unless a
+    /// state mutation clears it first (see `NextAt`); the calendar
+    /// differential suite holds every answer equal to
     /// [`next_event_at_linear`].
     ///
     /// [`next_event_at_linear`]: Controller::next_event_at_linear
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if let Some(cached) = self.next_cache.get() {
+        if let Some((asked, cached)) = self.next_cache.get() {
             match cached {
                 // Nothing was queued or in flight, and only an enqueue
                 // (which clears the memo) can change that.
                 NextAt::Idle => return None,
-                // A strictly future instant computed from unchanged state
-                // is exactly what a fresh scan would return (see `NextAt`).
-                NextAt::At(at) if at > now => return Some(at),
+                // The same question about unchanged state, or a strictly
+                // future instant computed from it: exactly what a fresh
+                // scan would return (see `NextAt`).
+                NextAt::At(at) if asked == now || at > now => return Some(at),
                 // The memoized instant has arrived (or passed without a
                 // mutation — e.g. a tFAW-gated pick issued nothing): the
                 // bound is spent, recompute.
@@ -917,10 +922,13 @@ impl Controller {
             }
         }
         let result = self.next_event_at_scan(now);
-        self.next_cache.set(Some(match result {
-            None => NextAt::Idle,
-            Some(at) => NextAt::At(at),
-        }));
+        self.next_cache.set(Some((
+            now,
+            match result {
+                None => NextAt::Idle,
+                Some(at) => NextAt::At(at),
+            },
+        )));
         result
     }
 

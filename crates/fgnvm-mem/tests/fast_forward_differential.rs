@@ -442,15 +442,17 @@ fn drive_checking_calendar(name: &str, config: &SystemConfig, reqs: &[Gen]) {
     let mut completions = Vec::new();
     let check = |mem: &MemorySystem, whence: &str| {
         // Linear first: it must not observe anything the memoized call
-        // publishes.
+        // publishes. The second memoized call at the same cycle answers
+        // from the memo the first one stored.
         let linear = mem.next_event_at_linear();
-        let memoized = mem.next_event_at();
-        assert_eq!(
-            memoized,
-            linear,
-            "{name}: calendar scan diverged from linear reference {whence} at cycle {}",
-            mem.now().raw()
-        );
+        for ask in ["first", "repeated"] {
+            assert_eq!(
+                mem.next_event_at(),
+                linear,
+                "{name}: {ask} calendar answer diverged from linear reference {whence} at cycle {}",
+                mem.now().raw()
+            );
+        }
     };
     for g in reqs {
         let op = if g.is_write { Op::Write } else { Op::Read };
@@ -468,9 +470,15 @@ fn drive_checking_calendar(name: &str, config: &SystemConfig, reqs: &[Gen]) {
     let mut guard = 0;
     while !mem.is_idle() {
         // One event hop at a time: `tick_to` skips the dead range (if any)
-        // and steps the event instant, crossing every memo edge.
+        // and steps the event instant, crossing every memo edge. Landing
+        // on the event before ticking it checks the memo at the instant it
+        // named, where it has arrived and must be recomputed.
         let target = match mem.next_event_at() {
-            Some(at) if at > mem.now() => at + fgnvm_types::time::CycleCount::new(1),
+            Some(at) if at > mem.now() => {
+                mem.tick_to(at, &mut completions);
+                check(&mem, "on an event");
+                at + fgnvm_types::time::CycleCount::new(1)
+            }
             _ => mem.now() + fgnvm_types::time::CycleCount::new(1),
         };
         mem.tick_to(target, &mut completions);

@@ -7,16 +7,17 @@
 //! that grows every internal buffer to its steady-state capacity
 //! (request-queue rings, the event heap, the completion vector), further
 //! enqueue/drain waves of the same shape must perform **zero** heap
-//! allocations and **zero** reallocations.
+//! allocations and **zero** reallocations. The same holds with the
+//! observer enabled (stall attribution, its spans, the tile heatmap),
+//! whose hooks run on every enqueue, command and completion.
 //!
-//! The armed flag is thread-local (const-initialized, so reading it never
-//! itself allocates or registers a destructor): only allocations made by
-//! the test's own thread count, keeping libtest's harness threads from
-//! poisoning the tally.
+//! The armed flag and the tally are thread-local (const-initialized, so
+//! reading them never itself allocates or registers a destructor): only
+//! allocations made by a test's own thread count, keeping libtest's
+//! harness threads and the other test from poisoning the tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use fgnvm_mem::MemorySystem;
 use fgnvm_types::config::SystemConfig;
@@ -31,17 +32,21 @@ struct CountingAlloc;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn armed() -> bool {
     ARMED.with(Cell::get)
 }
 
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if armed() {
-            ALLOCS.fetch_add(1, Relaxed);
+            count();
         }
         unsafe { System.alloc(layout) }
     }
@@ -52,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if armed() {
-            ALLOCS.fetch_add(1, Relaxed);
+            count();
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -83,10 +88,13 @@ fn wave(mem: &mut MemorySystem, id: &mut u64, out: &mut Vec<fgnvm_types::request
     }
 }
 
-#[test]
-fn fast_forward_steady_state_allocates_nothing() {
+/// Heap allocations made by ten armed waves after two warm-up waves.
+fn allocations_in_warm_waves(observed: bool) -> u64 {
     let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
     mem.set_fast_forward(true);
+    if observed {
+        mem.enable_observer();
+    }
     let mut id = 0u64;
     let mut out = Vec::with_capacity(4096);
 
@@ -98,18 +106,38 @@ fn fast_forward_steady_state_allocates_nothing() {
     out.clear();
 
     // Armed: ten more identical waves must never touch the allocator.
-    ALLOCS.store(0, Relaxed);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     for _ in 0..10 {
         wave(&mut mem, &mut id, &mut out);
         out.clear();
     }
     ARMED.with(|a| a.set(false));
+    assert!(id >= 12 * 32, "waves did not run");
+    assert!(
+        !observed
+            || mem
+                .observer()
+                .is_some_and(|o| o.attribution.writes.count >= 12 * 32),
+        "the observer did not see the waves"
+    );
+    ALLOCS.with(Cell::get)
+}
 
-    let allocs = ALLOCS.load(Relaxed);
+#[test]
+fn fast_forward_steady_state_allocates_nothing() {
+    let allocs = allocations_in_warm_waves(false);
     assert_eq!(
         allocs, 0,
         "steady-state fast-forward performed {allocs} heap allocations"
     );
-    assert!(id >= 12 * 32, "waves did not run");
+}
+
+#[test]
+fn observed_fast_forward_steady_state_allocates_nothing() {
+    let allocs = allocations_in_warm_waves(true);
+    assert_eq!(
+        allocs, 0,
+        "observed steady-state fast-forward performed {allocs} heap allocations"
+    );
 }

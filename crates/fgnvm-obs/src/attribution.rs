@@ -33,7 +33,7 @@
 //! per-bank command history analytically (resource windows plus a
 //! reconstructed tFAW schedule), never by probing per-cycle state.
 
-use std::collections::HashMap;
+use fgnvm_types::IntMap;
 
 use crate::json::number;
 use crate::span::{IssueMarks, Spans};
@@ -282,11 +282,15 @@ struct Window {
 }
 
 /// One bank's command history: the occupancy windows a future wait can
-/// still overlap, and the heatmap's per-SAG and per-CD busy-until
-/// maxima, which `prune` never drops.
+/// still overlap, an upper bound on their lengths, and the heatmap's
+/// per-SAG and per-CD busy-until maxima, which `prune` never drops.
 #[derive(Debug)]
 struct BankHistory {
     windows: Vec<Window>,
+    /// At least `end − at` of every window in `windows`: raised by each
+    /// [`record`](BankHistory::record), never lowered by `prune`, and
+    /// rebuilt from the windows on restore (it is not serialized).
+    max_len: u64,
     sag_busy_until: Vec<u64>,
     cd_busy_until: Vec<u64>,
 }
@@ -295,9 +299,26 @@ impl BankHistory {
     fn new(p: &AttributionParams) -> Self {
         BankHistory {
             windows: Vec::new(),
+            max_len: 0,
             sag_busy_until: vec![0; p.sags.max(1) as usize],
             cd_busy_until: vec![0; p.cds.max(1) as usize],
         }
+    }
+
+    /// Appends a window, which must not have issued before the last one.
+    fn record(&mut self, w: Window) {
+        self.max_len = self.max_len.max(w.end.saturating_sub(w.at));
+        self.windows.push(w);
+    }
+
+    /// The windows a wait starting at `w0` can overlap, and maybe a few
+    /// more: every window issued at or before `w0 − max_len` ended by
+    /// `w0`, and the list is in issue order, so binary search cuts them.
+    fn reaching(&self, w0: u64) -> &[Window] {
+        let first = self
+            .windows
+            .partition_point(|w| w.at.saturating_add(self.max_len) <= w0);
+        &self.windows[first..]
     }
 
     /// Holds `cmd`'s SAG and first CD (clamped into the grid) until its
@@ -338,12 +359,16 @@ struct OpenReq {
 #[derive(Debug, Default)]
 pub struct Attribution {
     params: AttributionParams,
-    open: HashMap<u64, OpenReq>,
+    // The maps hash through `IntHasher`: ids and (channel, bank or rank)
+    // pairs come from the memory system, and `save_state` sorts the keys,
+    // so no output depends on the iteration order.
+    open: IntMap<u64, OpenReq>,
     /// Per-(channel, bank) command history; its windows are pruned as
     /// requests retire.
-    banks: HashMap<(u32, u32), BankHistory>,
-    /// Per-(channel, rank) activation start cycles (tFAW reconstruction).
-    acts: HashMap<(u32, u32), Vec<u64>>,
+    banks: IntMap<(u32, u32), BankHistory>,
+    /// Per-(channel, rank) activation start cycles (tFAW reconstruction),
+    /// in issue order.
+    acts: IntMap<(u32, u32), Vec<u64>>,
     /// Aggregate over completed reads.
     pub reads: ClassTotals,
     /// Aggregate over completed writes.
@@ -365,9 +390,6 @@ pub struct Attribution {
     /// length. Consumed by the flight recorder within the same hook;
     /// never serialized — no checkpoint can land inside one hook.
     last_wait: Option<(StallCause, u64)>,
-    /// Reused event buffer of the wait classifier's sweep; never
-    /// serialized.
-    events: Vec<(u64, i8)>,
 }
 
 impl Default for AttributionParams {
@@ -446,11 +468,10 @@ impl Attribution {
                 };
                 classify_wait(
                     &self.params,
-                    &bank.windows,
+                    bank.reaching(w0),
                     acts.map_or(&[], Vec::as_slice),
                     cmd,
                     (w0, at),
-                    &mut self.events,
                     &mut r.cycles,
                 );
             } else {
@@ -497,7 +518,7 @@ impl Attribution {
             r.last_retries = cmd.retries;
         }
         // Record this command's occupancy window for later waiters.
-        bank.windows.push(Window {
+        bank.record(Window {
             at: cmd.at,
             end: cmd.completion.max(cmd.data_end),
             is_write: !cmd.is_read,
@@ -507,10 +528,12 @@ impl Attribution {
         });
         let busy = bank.hold(cmd);
         if self.params.t_faw.is_some() && activation {
-            self.acts
-                .entry((cmd.channel, rank))
-                .or_default()
-                .push(cmd.at);
+            let list = self.acts.entry((cmd.channel, rank)).or_default();
+            debug_assert!(
+                list.last().is_none_or(|&a| a <= cmd.at),
+                "per-rank activations must stay in issue order"
+            );
+            list.push(cmd.at);
         }
         self.prune(cmd.at);
         busy
@@ -688,15 +711,16 @@ impl Attribution {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`](fgnvm_types::SnapshotError) on a
-    /// truncated or mistagged stream, or a bank whose tile clocks do not
-    /// match this tracker's SAG × CD grid.
+    /// truncated or mistagged stream, a bank whose tile clocks do not
+    /// match this tracker's SAG × CD grid, or a command or activation
+    /// history out of issue order.
     pub fn load_state(
         &mut self,
         r: &mut fgnvm_types::SnapshotReader<'_>,
     ) -> Result<(), fgnvm_types::SnapshotError> {
         r.tag("attr")?;
         let n = r.count()?;
-        self.open = HashMap::with_capacity(n);
+        self.open = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = r.u64()?;
             let arrival = r.u64()?;
@@ -730,14 +754,14 @@ impl Attribution {
             );
         }
         let n = r.count()?;
-        self.banks = HashMap::with_capacity(n);
+        self.banks = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
             let mut bank = BankHistory::new(&self.params);
             let len = r.count()?;
             bank.windows = Vec::with_capacity(len);
             for _ in 0..len {
-                bank.windows.push(Window {
+                bank.record(Window {
                     at: r.u64()?,
                     end: r.u64()?,
                     is_write: r.bool()?,
@@ -745,6 +769,11 @@ impl Attribution {
                     cd_first: r.u32()?,
                     cd_count: r.u32()?,
                 });
+            }
+            if !bank.windows.is_sorted_by_key(|w| w.at) {
+                return Err(fgnvm_types::SnapshotError::Corrupt(format!(
+                    "bank {key:?} has command windows out of issue order"
+                )));
             }
             for (axis, clocks) in [
                 ("SAG", &mut bank.sag_busy_until),
@@ -764,13 +793,18 @@ impl Attribution {
             self.banks.insert(key, bank);
         }
         let n = r.count()?;
-        self.acts = HashMap::with_capacity(n);
+        self.acts = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
             let len = r.count()?;
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
                 list.push(r.u64()?);
+            }
+            if !list.is_sorted() {
+                return Err(fgnvm_types::SnapshotError::Corrupt(format!(
+                    "rank {key:?} has activations out of issue order"
+                )));
             }
             self.acts.insert(key, list);
         }
@@ -879,7 +913,7 @@ const CLASSES: [StallCause; 4] = [
 
 /// The class (index into [`CLASSES`]) a past command's window imposes on
 /// `cmd`, or `None` when it holds nothing `cmd` needs.
-fn window_class(p: &AttributionParams, w: &Window, cmd: &CommandIssue<'_>) -> Option<i8> {
+fn window_class(p: &AttributionParams, w: &Window, cmd: &CommandIssue<'_>) -> Option<usize> {
     let sag_hit = p.serialized || w.sag == cmd.sag;
     let cd_hit = cd_overlap(
         p.full_row_sense,
@@ -897,78 +931,99 @@ fn window_class(p: &AttributionParams, w: &Window, cmd: &CommandIssue<'_>) -> Op
     }
 }
 
+/// The union of spans added in start order: the cycles it covered before
+/// its open run, and that run.
+#[derive(Debug, Clone, Copy)]
+struct Union {
+    covered: u64,
+    start: u64,
+    end: u64,
+}
+
+impl Union {
+    /// Adds `[s, e)`, which must not start before any span added earlier.
+    fn add(&mut self, s: u64, e: u64) {
+        if s > self.end {
+            self.covered += self.end - self.start;
+            (self.start, self.end) = (s, e);
+        } else {
+            self.end = self.end.max(e);
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.covered + (self.end - self.start)
+    }
+}
+
 /// Partitions the pre-issue wait `[w0, w1)` among blocking causes, adding
 /// the cycles to `cycles`.
 ///
 /// Every blocker — a past command's occupancy window on the bank, or a
 /// tFAW gate (with four activations inside a rolling window, a fifth must
 /// wait until the oldest ages out) — maps to one class of [`CLASSES`]
-/// (write-block > SAG > CD > tFAW). One sweep over the blockers' clamped
-/// edges, sorted in the reused `events` buffer, gives each stretch of the
-/// wait to its highest live class. `windows` is in issue order, so the
-/// ones issued at or after `w1` are cut off by binary search, and the
-/// ones that ended by `w0` are skipped before they are classified.
+/// (write-block > SAG > CD > tFAW), and each cycle of the wait goes to the
+/// highest class covering it. One pass over the blockers, clamped to the
+/// wait, keeps per class `k` the union of the blockers of class `k` or
+/// higher: class `k` gets `union(≥k) − union(≥k+1)` cycles and queueing
+/// the rest. Windows arrive in issue (so start) order, and the tFAW gates,
+/// also start-ordered, are merged into the lowest class as they go.
+/// `windows` must be in issue order; the ones issued at or after `w1` are
+/// cut off by binary search, and the ones that ended by `w0` are skipped
+/// before they are classified.
 fn classify_wait(
     p: &AttributionParams,
     windows: &[Window],
     acts: &[u64],
     cmd: &CommandIssue<'_>,
     (w0, w1): (u64, u64),
-    events: &mut Vec<(u64, i8)>,
     cycles: &mut [u64; BUCKETS],
 ) {
     if w1 <= w0 {
         return;
     }
-    // Event `(t, +k)` opens class `k - 1` at `t`; `(t, -k)` closes it.
-    events.clear();
-    let mut span = |start: u64, end: u64, class: i8| {
+    let empty = Union {
+        covered: 0,
+        start: w0,
+        end: w0,
+    };
+    let mut unions = [empty; CLASSES.len()];
+    let mut add = |start: u64, end: u64, class: usize| {
         let (s, e) = (start.max(w0), end.min(w1));
         if s < e {
-            events.push((s, class + 1));
-            events.push((e, -(class + 1)));
+            for u in &mut unions[..=class] {
+                u.add(s, e);
+            }
         }
     };
-    if let Some(t_faw) = p.t_faw {
-        for quad in acts.windows(4) {
-            span(quad[3], quad[0] + t_faw, 0);
-        }
-    }
+    let mut gates = p
+        .t_faw
+        .into_iter()
+        .flat_map(|t_faw| acts.windows(4).map(move |quad| (quad[3], quad[0] + t_faw)))
+        .peekable();
     let issued = windows.partition_point(|w| w.at < w1);
     for w in windows[..issued].iter().filter(|w| w.end > w0) {
         if let Some(class) = window_class(p, w, cmd) {
-            span(w.at, w.end, class);
+            while let Some((s, e)) = gates.next_if(|g| g.0 <= w.at) {
+                add(s, e, 0);
+            }
+            add(w.at, w.end, class);
         }
     }
-    events.sort_unstable_by_key(|e| e.0);
-    let mut live = [0u32; CLASSES.len()];
-    let mut from = w0;
-    for &(t, edge) in events.iter() {
-        if t > from {
-            cycles[live_cause(&live) as usize] += t - from;
-            from = t;
-        }
-        let k = usize::from(edge.unsigned_abs()) - 1;
-        if edge > 0 {
-            live[k] += 1;
-        } else {
-            live[k] -= 1;
-        }
+    for (s, e) in gates {
+        add(s, e, 0);
     }
-    cycles[live_cause(&live) as usize] += w1 - from;
-}
-
-/// The highest class with a live blocker, or queueing when none is live.
-fn live_cause(live: &[u32; CLASSES.len()]) -> StallCause {
-    (0..CLASSES.len())
-        .rev()
-        .find(|&k| live[k] > 0)
-        .map_or(StallCause::QueueWait, |k| CLASSES[k])
+    let mut above = 0;
+    for (k, u) in unions.iter().enumerate().rev() {
+        cycles[CLASSES[k] as usize] += u.len() - above;
+        above = u.len();
+    }
+    cycles[StallCause::QueueWait as usize] += (w1 - w0) - above;
 }
 
 /// The segment-scan classifier [`classify_wait`] replaced: cut the wait at
 /// every blocker edge, then rescan every blocker per segment. Kept as the
-/// reference the sweep is property-tested against.
+/// reference the union pass is property-tested against.
 #[cfg(test)]
 fn classify_wait_reference(
     p: &AttributionParams,
@@ -1335,6 +1390,32 @@ mod tests {
         same.load_state(&mut r).expect("the grid it was saved from");
     }
 
+    /// The classifier's cut and union pass need issue-ordered histories,
+    /// so a checkpoint holding one out of order is refused.
+    #[test]
+    fn histories_out_of_issue_order_are_refused() {
+        let mut p = AttributionParams::bare(2, 2);
+        p.t_faw = Some(20);
+        let disorders: [fn(&mut Attribution); 2] = [
+            |a| a.banks.values_mut().for_each(|b| b.windows.reverse()),
+            |a| a.acts.values_mut().for_each(|list| list.reverse()),
+        ];
+        for disorder in disorders {
+            let mut a = Attribution::new(p);
+            a.on_command(&cmd(1, 0));
+            a.on_command(&cmd(2, 10));
+            disorder(&mut a);
+            let mut w = fgnvm_types::SnapshotWriter::new();
+            a.save_state(&mut w);
+            let bytes = w.finish();
+            let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+            assert!(matches!(
+                Attribution::new(p).load_state(&mut r),
+                Err(fgnvm_types::SnapshotError::Corrupt(_))
+            ));
+        }
+    }
+
     #[test]
     fn last_wait_reports_the_dominant_block() {
         let mut a = Attribution::new(AttributionParams::bare(4, 4));
@@ -1409,7 +1490,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The sweep gives exactly the segment scan's per-bucket cycles.
+        /// The union pass gives exactly the segment scan's per-bucket
+        /// cycles, over the whole list and over the suffix the caller
+        /// passes after the `max_len` cut.
         #[test]
         fn sweep_matches_the_segment_scan(case in wait_case()) {
             let (raw, gaps, (sag, cd, cd_count), (serialized, full_row, wbb), (a, b), t_faw) = case;
@@ -1420,13 +1503,12 @@ mod tests {
             p.t_faw = (t_faw > 0).then_some(t_faw);
             // Issue-ordered windows: `at` is a running sum of gaps.
             let mut at = 0;
-            let windows: Vec<Window> = raw
-                .iter()
-                .map(|&(gap, len, is_write, sag, cd_first, cd_count)| {
-                    at += gap;
-                    Window { at, end: at + len, is_write, sag, cd_first, cd_count }
-                })
-                .collect();
+            let mut bank = BankHistory::new(&p);
+            for &(gap, len, is_write, sag, cd_first, cd_count) in &raw {
+                at += gap;
+                bank.record(Window { at, end: at + len, is_write, sag, cd_first, cd_count });
+            }
+            let windows = &bank.windows;
             let mut t = 0;
             let acts: Vec<u64> = gaps.iter().map(|g| { t += g; t }).collect();
             let mut c = cmd(1, 0);
@@ -1435,12 +1517,106 @@ mod tests {
             c.cd_count = cd_count;
             let span = (a.min(b), a.max(b));
             let mut want = [0; BUCKETS];
-            classify_wait_reference(&p, &windows, &acts, &c, span, &mut want);
+            classify_wait_reference(&p, windows, &acts, &c, span, &mut want);
             let mut got = [0; BUCKETS];
-            let mut events = Vec::new();
-            classify_wait(&p, &windows, &acts, &c, span, &mut events, &mut got);
+            classify_wait(&p, windows, &acts, &c, span, &mut got);
             prop_assert_eq!(got, want);
             prop_assert_eq!(got.iter().sum::<u64>(), span.1 - span.0);
+            let mut cut = [0; BUCKETS];
+            classify_wait(&p, bank.reaching(span.0), &acts, &c, span, &mut cut);
+            prop_assert_eq!(cut, want);
+        }
+
+        /// A tracker restored mid-stream attributes every later command as
+        /// the one it was saved from, although it rebuilds each bank's
+        /// `max_len` from the windows left rather than loading it.
+        #[test]
+        fn restored_tracker_attributes_like_the_saved_one(
+            reqs in prop::collection::vec(
+                (0u64..20, 0u64..60, 0u32..2, any::<bool>(), 0u32..3, 0u32..3, 1u64..90),
+                1..40,
+            ),
+            flags in (any::<bool>(), any::<bool>(), 0u64..40),
+            split in 0usize..120,
+        ) {
+            let (serialized, wbb, t_faw) = flags;
+            let mut p = AttributionParams::bare(4, 4);
+            p.serialized = serialized;
+            p.write_blocks_bank = wbb;
+            p.t_faw = (t_faw > 0).then_some(t_faw);
+            let hooks = hook_stream(&reqs);
+            let mut saved = Attribution::new(p);
+            let k = split % (hooks.len() + 1);
+            for hook in &hooks[..k] {
+                apply(&mut saved, hook);
+            }
+            let mut w = fgnvm_types::SnapshotWriter::new();
+            saved.save_state(&mut w);
+            let bytes = w.finish();
+            let mut restored = Attribution::new(p);
+            let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+            restored.load_state(&mut r).expect("decodes");
+            for hook in &hooks[k..] {
+                prop_assert_eq!(apply(&mut restored, hook), apply(&mut saved, hook));
+            }
+            prop_assert_eq!(restored.to_json(), saved.to_json());
+            prop_assert_eq!(restored.spans_json(), saved.spans_json());
+        }
+    }
+
+    /// One lifecycle hook of a replayed stream: `Enqueued(id, is_read,
+    /// at)`, a command, or `Completed(id, at)`.
+    #[derive(Debug, Clone, Copy)]
+    enum Hook {
+        Enqueued(u64, bool, u64),
+        Command(CommandIssue<'static>),
+        Completed(u64, u64),
+    }
+
+    /// The hooks of requests `(gap, wait, bank, is_read, sag, cd, len)`,
+    /// in time order: each arrives `gap` after the last, issues `wait`
+    /// later (never before an earlier request's issue) and holds its bank
+    /// for `len` cycles.
+    fn hook_stream(reqs: &[(u64, u64, u32, bool, u32, u32, u64)]) -> Vec<Hook> {
+        let (mut arrival, mut issue) = (0, 0);
+        let mut timed = Vec::new();
+        for (id, &(gap, wait, bank, is_read, sag, cd, len)) in (0u64..).zip(reqs) {
+            arrival += gap;
+            issue = (arrival + wait).max(issue);
+            let mut c = cmd(id, issue);
+            (c.bank, c.is_read, c.sag, c.cd) = (bank, is_read, sag, cd);
+            c.kind = if is_read { "activate" } else { "write" };
+            c.arrival = arrival;
+            c.earliest_data = issue + len / 3;
+            c.data_start = c.earliest_data;
+            c.data_end = issue + 2 * len / 3;
+            c.completion = issue + len;
+            // Ties: completions retire, then requests arrive, then issue.
+            timed.push((arrival, 1, Hook::Enqueued(id, is_read, arrival)));
+            timed.push((issue, 2, Hook::Command(c)));
+            timed.push((c.completion, 0, Hook::Completed(id, c.completion)));
+        }
+        timed.sort_by_key(|&(at, order, _)| (at, order));
+        timed.into_iter().map(|(_, _, hook)| hook).collect()
+    }
+
+    /// What a hook's answer holds: a command's busy clock and dominant
+    /// wait, or a completed record's buckets.
+    type Answer = (
+        Option<u64>,
+        Option<(StallCause, u64)>,
+        Option<[u64; BUCKETS]>,
+    );
+
+    /// Feeds `hook` to `a` and returns everything the tracker answered.
+    fn apply(a: &mut Attribution, hook: &Hook) -> Answer {
+        match *hook {
+            Hook::Enqueued(id, is_read, at) => {
+                a.on_enqueued(id, is_read, 0, at);
+                (None, None, None)
+            }
+            Hook::Command(c) => (Some(a.on_command(&c)), a.take_last_wait(), None),
+            Hook::Completed(id, at) => (None, None, a.on_completed(id, at).map(|r| r.cycles)),
         }
     }
 

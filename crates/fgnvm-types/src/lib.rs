@@ -30,6 +30,7 @@ pub mod address;
 pub mod config;
 pub mod error;
 pub mod geometry;
+pub mod hash;
 pub mod hist;
 pub mod params;
 pub mod request;
@@ -43,6 +44,7 @@ pub use config::{
 };
 pub use error::{ConfigError, SimError};
 pub use geometry::Geometry;
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use params::{parse_system_config, write_system_config, ParseParamsError};
 pub use request::{Completion, Op, Priority, Request, RequestId};
 pub use snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_VERSION};
