@@ -167,12 +167,15 @@ impl MultiCore {
                 }
             }
             let mut pure_stall = true;
-            for (i, engine) in engines.iter_mut().enumerate() {
+            for (engine, finish) in engines.iter_mut().zip(&mut finish_cycle) {
                 if !engine.is_done() {
                     pure_stall &= engine.step(memory).pure_stall();
-                    if engine.is_done() && finish_cycle[i].is_none() {
-                        finish_cycle[i] = Some(cpu_cycle + 1);
-                    }
+                }
+                // An engine finishes in the cycle it becomes done, whether
+                // its last load completed at this cycle's tick or its step
+                // issued its last record.
+                if engine.is_done() && finish.is_none() {
+                    *finish = Some(cpu_cycle + 1);
                 }
             }
             cpu_cycle += 1;
@@ -296,6 +299,37 @@ mod tests {
             "fgnvm throughput {} should beat baseline {}",
             on_fg.throughput(),
             on_base.throughput()
+        );
+    }
+
+    /// A short trace beside a long one is charged its own finish cycle,
+    /// not the shared run's, although its last load completes at a
+    /// memory tick rather than in one of its steps.
+    #[test]
+    fn short_core_is_charged_its_own_finish() {
+        use crate::trace::TraceRecord;
+        use fgnvm_types::PhysAddr;
+        let reads = |seed: u64, n: u64, gap: u32| {
+            let records = (0..n)
+                .map(|i| {
+                    let addr = (i * 0x9E37_79B9 + seed * 977) & 0xFFF_FFC0;
+                    TraceRecord::read(gap, PhysAddr::new(addr))
+                })
+                .collect();
+            Trace::new(format!("core{seed}"), records)
+        };
+        let (short, long) = (reads(0, 10, 400), reads(1, 2000, 100));
+        let cfg = CoreConfig::no_prefetch();
+        let memory = || MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+        let solo = Core::new(cfg).unwrap().run(&short, &mut memory());
+        let shared = MultiCore::new(cfg, 2)
+            .unwrap()
+            .run(&[short, long], &mut memory());
+        let cycles = shared.per_core[0].cpu_cycles;
+        assert!(
+            cycles * 10 <= solo.cpu_cycles * 11,
+            "short core charged {cycles} shared cycles against {} solo",
+            solo.cpu_cycles
         );
     }
 
