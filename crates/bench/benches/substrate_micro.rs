@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use fgnvm_cpu::{Core, CoreConfig, MultiCore, RobCore};
+use fgnvm_cpu::{Core, CoreConfig, RobCore};
 use fgnvm_mem::{MemorySystem, StartGap};
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::geometry::Geometry;
@@ -120,10 +120,10 @@ fn bench(c: &mut Criterion) {
             .iter()
             .map(|n| profile(n).unwrap().generate(Geometry::default(), 7, 400))
             .collect();
-        let multi = MultiCore::new(CoreConfig::no_prefetch(), 4).unwrap();
+        let core = Core::new(CoreConfig::no_prefetch()).unwrap();
         b.iter(|| {
             let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 8).unwrap()).unwrap();
-            black_box(multi.run(&traces, &mut mem).throughput())
+            black_box(core.run_shared(&traces, &mut mem).throughput())
         })
     });
     group.finish();

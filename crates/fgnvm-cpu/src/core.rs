@@ -25,7 +25,7 @@ use fgnvm_types::error::ConfigError;
 use fgnvm_types::request::{Op, RequestId};
 use fgnvm_types::{IntMap, IntSet};
 
-use crate::metrics::CoreResult;
+use crate::metrics::{CoreResult, MultiCoreResult};
 use crate::trace::Trace;
 
 /// Core parameters (defaults model the paper's Nehalem-like setup).
@@ -168,50 +168,170 @@ impl Core {
     /// Panics if the simulation exceeds an internal safety bound (which
     /// would indicate a deadlock in the memory system).
     pub fn run<M: MemoryBackend>(&self, trace: &Trace, memory: &mut M) -> CoreResult {
-        let mut engine = CoreEngine::new(self.config, trace);
+        let mut engine = [CoreEngine::new(self.config, trace)];
+        let (_, mem_cycles) = self.drive(&mut engine, trace.instruction_count(), memory);
+        engine[0].result(mem_cycles)
+    }
+
+    /// Runs one trace per core, every core with its own window, MSHRs and
+    /// prefetcher, on a shared `memory` and one CPU clock, and leaves the
+    /// memory drained. Each core's result counts the cycles up to its own
+    /// finish, so a short trace is not charged a long one's run.
+    ///
+    /// Unlike interleaving traces onto one core (see
+    /// `fgnvm_workloads::mix::interleave`), contention happens where it
+    /// physically does, in the shared controller and banks.
+    /// [`weighted_speedup`](crate::weighted_speedup) and
+    /// [`fairness`](crate::fairness) compare the shared run against solo
+    /// ones.
+    ///
+    /// ```
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// use fgnvm_cpu::{Core, CoreConfig, Trace, TraceRecord};
+    /// use fgnvm_mem::MemorySystem;
+    /// use fgnvm_types::config::SystemConfig;
+    /// use fgnvm_types::PhysAddr;
+    ///
+    /// // Two cores, each with its own miss stream.
+    /// let traces: Vec<Trace> = (0..2u64)
+    ///     .map(|core| {
+    ///         Trace::new(
+    ///             format!("core{core}"),
+    ///             (0..200u64)
+    ///                 .map(|i| TraceRecord::read(30, PhysAddr::new((core * 977 + i) * 8192)))
+    ///                 .collect(),
+    ///         )
+    ///     })
+    ///     .collect();
+    /// let mut memory = MemorySystem::new(SystemConfig::fgnvm(8, 8)?)?;
+    /// let shared = Core::new(CoreConfig::nehalem_like())?.run_shared(&traces, &mut memory);
+    /// assert_eq!(shared.per_core.len(), 2);
+    /// assert!(shared.throughput() > 0.0);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation exceeds an internal safety bound.
+    pub fn run_shared<M: MemoryBackend>(
+        &self,
+        traces: &[Trace],
+        memory: &mut M,
+    ) -> MultiCoreResult {
+        let mut engines: Vec<CoreEngine<'_>> = traces
+            .iter()
+            .map(|t| CoreEngine::new(self.config, t))
+            .collect();
+        let instructions = traces.iter().map(Trace::instruction_count).sum();
+        let (total_cycles, mem_cycles) = self.drive(&mut engines, instructions, memory);
+        MultiCoreResult {
+            per_core: engines.iter().map(|e| e.result(mem_cycles)).collect(),
+            total_cycles,
+        }
+    }
+
+    /// Steps `engines` on one CPU clock until every one is done, drains
+    /// the memory, and returns the final CPU cycle and the memory cycles
+    /// used. The memory ticks every `cpu_mem_ratio` CPU cycles; its
+    /// completions go to every engine (request ids are globally unique),
+    /// and the engines then issue prefetches in an order that rotates by
+    /// one each tick, so that no engine monopolizes the queue headroom.
+    /// Then each live engine steps once, in index order. An engine
+    /// finishes at the end of the cycle in which it becomes done, at the
+    /// tick or at its step.
+    fn drive<M: MemoryBackend>(
+        &self,
+        engines: &mut [CoreEngine<'_>],
+        instructions: u64,
+        memory: &mut M,
+    ) -> (u64, u64) {
         let start_mem_cycle = memory.now();
         let mut cpu_cycle: u64 = 0;
         let mut completions = Vec::new();
         // Safety bound: a trace instruction should never take more than
         // ~10^5 CPU cycles even under pathological conflicts.
-        let cycle_limit = 200_000 + trace.instruction_count() * 100_000;
+        let cycle_limit = 200_000 + instructions * 100_000;
         let ratio = u64::from(self.config.cpu_mem_ratio);
-        // Memory ticks once per `cpu_mem_ratio` CPU cycles; this is the
-        // CPU cycle of the next tick.
+        let width = u64::from(self.config.width);
+        let n = engines.len();
+        let mut live = engines.iter().filter(|e| e.finish.is_none()).count();
+        // The CPU cycle of the next memory tick.
         let mut next_tick: u64 = 0;
-        while !engine.is_done() {
+        while live > 0 {
             assert!(cpu_cycle < cycle_limit, "core deadlocked against memory");
             if cpu_cycle == next_tick {
                 completions.clear();
                 memory.tick_into(&mut completions);
-                engine.absorb_completions(&completions);
-                engine.issue_prefetches(memory);
+                for engine in engines.iter_mut() {
+                    engine.absorb_completions(&completions);
+                }
+                // Finished engines still drain their prefetch queues.
+                let first = if n > 1 {
+                    (cpu_cycle / ratio) as usize % n
+                } else {
+                    0
+                };
+                let (front, back) = engines.split_at_mut(first);
+                for engine in back.iter_mut().chain(front) {
+                    engine.issue_prefetches(memory);
+                }
                 next_tick += ratio;
             }
-            // Gap leap: a cycle that only retires `width` gap instructions
-            // touches nothing but the gap counter, so the run of such
-            // cycles up to the next tick (or the deadlock bound, where a
-            // stepped run would panic) is applied in one update.
-            let gap_cycles = engine.leap_gap(next_tick.min(cycle_limit) - cpu_cycle);
-            if gap_cycles > 0 {
+            // Gap leap: a cycle in which every live engine only retires
+            // `width` gap instructions touches nothing but their gap
+            // counters, so the run of such cycles up to the next tick (or
+            // the deadlock bound, where a stepped run would panic) is
+            // applied in one update.
+            let mut room = u64::MAX;
+            for engine in engines.iter() {
+                if engine.finish.is_none() {
+                    room = room.min(engine.gap_room());
+                }
+            }
+            if room >= width {
+                let gap_cycles = (room / width).min(next_tick.min(cycle_limit) - cpu_cycle);
+                for engine in engines.iter_mut() {
+                    if engine.finish.is_none() {
+                        engine.retire_gap(gap_cycles * width);
+                    }
+                }
                 cpu_cycle += gap_cycles;
                 continue;
             }
-            let outcome = engine.step(memory);
+            let mut pure_stall = true;
+            for engine in engines.iter_mut() {
+                if engine.finish.is_some() {
+                    continue;
+                }
+                if !engine.is_done() {
+                    pure_stall &= engine.step(memory).pure_stall();
+                }
+                if engine.is_done() {
+                    engine.finish = Some(cpu_cycle + 1);
+                    live -= 1;
+                }
+            }
             cpu_cycle += 1;
             // Event-driven leap: a pure stall repeats verbatim (memory is
-            // only ticked at boundaries, and a no-progress step leaves the
-            // engine untouched), so both clocks can jump to the boundary
-            // that pre-dates the memory's next event. `prefetch_idle`
-            // guarantees the skipped boundaries' prefetch pass was a no-op.
-            if outcome.pure_stall() && !engine.is_done() && engine.prefetch_idle() {
+            // only ticked at boundaries, and a no-progress step leaves an
+            // engine untouched), so the clocks can jump to the boundary
+            // that pre-dates the memory's next event once every live
+            // engine pure-stalled. Every engine's `prefetch_idle`
+            // guarantees the skipped boundaries' prefetch passes were
+            // no-ops.
+            if pure_stall && live > 0 && engines.iter().all(CoreEngine::prefetch_idle) {
                 if let Some(event) = memory.next_event_at() {
                     let event_boundary = (event - start_mem_cycle).raw().saturating_mul(ratio);
                     // Never leap past the deadlock bound: a stepped run
                     // would panic there, and so must we.
                     let target = event_boundary.min(cycle_limit);
                     if target > cpu_cycle {
-                        engine.note_stalled(target - cpu_cycle);
+                        for engine in engines.iter_mut() {
+                            if engine.finish.is_none() {
+                                engine.note_stalled(target - cpu_cycle);
+                            }
+                        }
                         cpu_cycle = target;
                         next_tick = target.next_multiple_of(ratio);
                         if target == event_boundary {
@@ -228,7 +348,7 @@ impl Core {
         }
         // Drain remaining write traffic so energy covers the whole run.
         memory.run_until_idle(10_000_000);
-        engine.result(cpu_cycle, (memory.now() - start_mem_cycle).raw())
+        (cpu_cycle, (memory.now() - start_mem_cycle).raw())
     }
 }
 
@@ -267,10 +387,8 @@ impl StepOutcome {
 
 /// The per-cycle state machine of one windowed core: dispatch/issue
 /// bookkeeping, MSHR merging, dependence stalls, and the stream
-/// prefetcher. [`Core::run`] drives one engine; [`MultiCore`] drives
+/// prefetcher. [`Core::run`] drives one engine, [`Core::run_shared`]
 /// several against a shared memory.
-///
-/// [`MultiCore`]: crate::multicore::MultiCore
 #[derive(Debug)]
 pub(crate) struct CoreEngine<'t> {
     cfg: CoreConfig,
@@ -290,6 +408,8 @@ pub(crate) struct CoreEngine<'t> {
     prefetch_fifo: VecDeque<u64>,
     prefetch_queue: VecDeque<u64>,
     streams: VecDeque<(u64, u64, i32)>,
+    /// The CPU cycle at whose end the engine was done, once it is.
+    finish: Option<u64>,
 }
 
 impl<'t> CoreEngine<'t> {
@@ -310,6 +430,8 @@ impl<'t> CoreEngine<'t> {
             prefetch_fifo: VecDeque::new(),
             prefetch_queue: VecDeque::new(),
             streams: VecDeque::new(),
+            // An empty trace is done before its first cycle.
+            finish: records.is_empty().then_some(0),
         }
     }
 
@@ -384,28 +506,30 @@ impl<'t> CoreEngine<'t> {
         }
     }
 
-    /// Applies the next full-width gap cycles in one update, at most
-    /// `max_cycles` of them, and returns how many it applied.
+    /// How many gap instructions the next steps can retire at full width
+    /// with nothing else happening: the gap left, capped by the free
+    /// window entries (unlimited with no load outstanding), since every
+    /// instruction of a cycle must pass the window check.
     ///
     /// A [`step`](Self::step) that finds at least `width` gap instructions
     /// left and `width` free window entries retires exactly `width` gap
     /// instructions and changes nothing else: no stall, no memory call.
     /// Neither the gap nor the window's oldest load moves until a step
     /// issues a memory operation or a tick absorbs a completion, so the
-    /// next `min(gap, window room) / width` steps are all such cycles.
-    /// The caller caps `max_cycles` at its next memory tick.
-    pub(crate) fn leap_gap(&mut self, max_cycles: u64) -> u64 {
-        let width = u64::from(self.cfg.width);
-        // Every instruction of a cycle must pass the window check.
+    /// next `gap_room() / width` steps are all such cycles.
+    pub(crate) fn gap_room(&self) -> u64 {
         let room = self.oldest_load.map_or(u64::MAX, |oldest| {
             u64::from(self.cfg.rob_entries).saturating_sub(self.issued_instructions - oldest)
         });
-        let cycles = (u64::from(self.gap_left).min(room) / width).min(max_cycles);
-        let retired = cycles * width;
-        // `retired` is at most `gap_left`, a `u32`.
-        self.gap_left -= retired as u32;
-        self.issued_instructions += retired;
-        cycles
+        u64::from(self.gap_left).min(room)
+    }
+
+    /// Retires `n` gap instructions, at most [`gap_room`](Self::gap_room),
+    /// exactly as the steps that would retire them.
+    pub(crate) fn retire_gap(&mut self, n: u64) {
+        // `n` is at most `gap_left`, a `u32`.
+        self.gap_left -= n as u32;
+        self.issued_instructions += n;
     }
 
     /// Executes one CPU cycle: dispatches up to `width` instructions.
@@ -520,11 +644,15 @@ impl<'t> CoreEngine<'t> {
         }
     }
 
-    /// Packages the result after the driver finishes.
-    pub(crate) fn result(&self, cpu_cycles: u64, mem_cycles: u64) -> CoreResult {
+    /// Packages the result after the driver finishes: the CPU cycles are
+    /// those up to the engine's own finish.
+    pub(crate) fn result(&self, mem_cycles: u64) -> CoreResult {
         CoreResult {
             instructions: self.issued_instructions,
-            cpu_cycles: cpu_cycles.max(1),
+            cpu_cycles: self
+                .finish
+                .expect("the driver runs every engine to its finish")
+                .max(1),
             mem_cycles,
             stall_cycles: self.stall_cycles,
         }
@@ -534,6 +662,7 @@ impl<'t> CoreEngine<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{fairness, weighted_speedup};
     use crate::trace::TraceRecord;
     use fgnvm_mem::MemorySystem;
     use fgnvm_types::address::PhysAddr;
@@ -699,32 +828,160 @@ mod tests {
         assert!(Core::new(bad).is_err());
     }
 
-    /// The reference for [`Core::run`]: the same loop without the gap
-    /// leap, one [`CoreEngine::step`] per CPU cycle, so every gap
-    /// instruction goes through the step loop.
-    fn run_stepped<M: MemoryBackend>(core: &Core, trace: &Trace, memory: &mut M) -> CoreResult {
-        let mut engine = CoreEngine::new(core.config, trace);
+    /// Builds `n` distinct synthetic mixed read/write miss streams
+    /// (fgnvm-workloads cannot be used here — it depends on this crate).
+    fn traces(n: usize, ops: usize) -> Vec<Trace> {
+        (0..n as u64)
+            .map(|seed| {
+                let records = (0..ops as u64)
+                    .map(|i| {
+                        let addr =
+                            (i.wrapping_mul(0x9E37_79B9).wrapping_add(seed * 977)) & 0xFFF_FFC0;
+                        if i % 4 == 0 {
+                            TraceRecord::write(20, PhysAddr::new(addr))
+                        } else {
+                            TraceRecord::read(20, PhysAddr::new(addr))
+                        }
+                    })
+                    .collect();
+                Trace::new(format!("core{seed}"), records)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_memory_slows_each_core() {
+        let ts = traces(2, 400);
+        let cfg = CoreConfig::no_prefetch();
+        // Solo runs.
+        let core = Core::new(cfg).unwrap();
+        let solo: Vec<CoreResult> = ts
+            .iter()
+            .map(|t| {
+                let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+                core.run(t, &mut mem)
+            })
+            .collect();
+        // Shared run.
+        let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+        let shared = core.run_shared(&ts, &mut mem);
+        assert_eq!(shared.per_core.len(), 2);
+        for (s, alone) in shared.per_core.iter().zip(&solo) {
+            assert_eq!(s.instructions, alone.instructions);
+            assert!(
+                s.ipc() <= alone.ipc() * 1.01,
+                "sharing cannot speed a core up"
+            );
+        }
+        let ws = weighted_speedup(&shared.per_core, &solo);
+        assert!(ws > 1.0 && ws <= 2.0, "weighted speedup {ws}");
+        let f = fairness(&shared.per_core, &solo);
+        assert!((0.0..=1.0 + 1e-9).contains(&f), "fairness {f}");
+    }
+
+    #[test]
+    fn subdivision_helps_consolidation() {
+        let ts = traces(4, 300);
+        let cfg = CoreConfig::no_prefetch();
+        let mut base = MemorySystem::new(SystemConfig::baseline()).unwrap();
+        let mut fg = MemorySystem::new(SystemConfig::fgnvm(8, 8).unwrap()).unwrap();
+        let core = Core::new(cfg).unwrap();
+        let on_base = core.run_shared(&ts, &mut base);
+        let on_fg = core.run_shared(&ts, &mut fg);
+        assert!(
+            on_fg.throughput() > on_base.throughput(),
+            "fgnvm throughput {} should beat baseline {}",
+            on_fg.throughput(),
+            on_base.throughput()
+        );
+    }
+
+    /// A short trace beside a long one is charged its own finish cycle,
+    /// not the shared run's, although its last load completes at a
+    /// memory tick rather than in one of its steps.
+    #[test]
+    fn short_core_is_charged_its_own_finish() {
+        let reads = |seed: u64, n: u64, gap: u32| {
+            let records = (0..n)
+                .map(|i| {
+                    let addr = (i * 0x9E37_79B9 + seed * 977) & 0xFFF_FFC0;
+                    TraceRecord::read(gap, PhysAddr::new(addr))
+                })
+                .collect();
+            Trace::new(format!("core{seed}"), records)
+        };
+        let (short, long) = (reads(0, 10, 400), reads(1, 2000, 100));
+        let cfg = CoreConfig::no_prefetch();
+        let memory = || MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+        let solo = Core::new(cfg).unwrap().run(&short, &mut memory());
+        let shared = Core::new(cfg)
+            .unwrap()
+            .run_shared(&[short, long], &mut memory());
+        let cycles = shared.per_core[0].cpu_cycles;
+        assert!(
+            cycles * 10 <= solo.cpu_cycles * 11,
+            "short core charged {cycles} shared cycles against {} solo",
+            solo.cpu_cycles
+        );
+    }
+
+    /// The reference for [`Core::run`] and [`Core::run_shared`]: the
+    /// shared loop without the gap leap, one [`CoreEngine::step`] per live
+    /// engine per CPU cycle, so every gap instruction goes through the
+    /// step loop.
+    fn run_stepped<M: MemoryBackend>(
+        core: &Core,
+        traces: &[Trace],
+        memory: &mut M,
+    ) -> MultiCoreResult {
+        let mut engines: Vec<CoreEngine<'_>> = traces
+            .iter()
+            .map(|t| CoreEngine::new(core.config, t))
+            .collect();
+        let mut finish_cycle: Vec<Option<u64>> = vec![None; engines.len()];
         let start_mem_cycle = memory.now();
-        let mut cpu_cycle: u64 = 0;
         let mut completions = Vec::new();
-        let cycle_limit = 200_000 + trace.instruction_count() * 100_000;
+        let mut cpu_cycle: u64 = 0;
+        let instructions: u64 = traces.iter().map(Trace::instruction_count).sum();
+        let cycle_limit = 200_000 + instructions * 100_000;
         let ratio = u64::from(core.config.cpu_mem_ratio);
-        while !engine.is_done() {
+        while engines.iter().any(|e| !e.is_done()) {
             assert!(cpu_cycle < cycle_limit, "core deadlocked against memory");
             if cpu_cycle.is_multiple_of(ratio) {
                 completions.clear();
                 memory.tick_into(&mut completions);
-                engine.absorb_completions(&completions);
-                engine.issue_prefetches(memory);
+                for engine in &mut engines {
+                    engine.absorb_completions(&completions);
+                }
+                let n = engines.len();
+                let first = (cpu_cycle / ratio) as usize % n;
+                for k in 0..n {
+                    engines[(first + k) % n].issue_prefetches(memory);
+                }
             }
-            let outcome = engine.step(memory);
+            let mut pure_stall = true;
+            for (engine, finish) in engines.iter_mut().zip(&mut finish_cycle) {
+                if !engine.is_done() {
+                    pure_stall &= engine.step(memory).pure_stall();
+                }
+                if engine.is_done() && finish.is_none() {
+                    *finish = Some(cpu_cycle + 1);
+                }
+            }
             cpu_cycle += 1;
-            if outcome.pure_stall() && !engine.is_done() && engine.prefetch_idle() {
+            if pure_stall
+                && engines.iter().any(|e| !e.is_done())
+                && engines.iter().all(CoreEngine::prefetch_idle)
+            {
                 if let Some(event) = memory.next_event_at() {
                     let event_boundary = (event - start_mem_cycle).raw().saturating_mul(ratio);
                     let target = event_boundary.min(cycle_limit);
                     if target > cpu_cycle {
-                        engine.note_stalled(target - cpu_cycle);
+                        for engine in &mut engines {
+                            if !engine.is_done() {
+                                engine.note_stalled(target - cpu_cycle);
+                            }
+                        }
                         cpu_cycle = target;
                         if target == event_boundary {
                             completions.clear();
@@ -735,48 +992,69 @@ mod tests {
             }
         }
         memory.run_until_idle(10_000_000);
-        engine.result(cpu_cycle, (memory.now() - start_mem_cycle).raw())
+        let mem_cycles = (memory.now() - start_mem_cycle).raw();
+        let per_core = engines
+            .iter()
+            .zip(&finish_cycle)
+            .map(|(engine, finish)| CoreResult {
+                instructions: engine.issued_instructions,
+                cpu_cycles: finish.unwrap_or(cpu_cycle).max(1),
+                mem_cycles,
+                stall_cycles: engine.stall_cycles,
+            })
+            .collect();
+        MultiCoreResult {
+            per_core,
+            total_cycles: cpu_cycle,
+        }
     }
 
     /// Random traces: gaps 0–300 (most not a multiple of any width),
     /// reads, dependent reads and writes, on a line that repeats (an MSHR
     /// merge or a prefetch-buffer hit), steps to the next line (training
-    /// the stream prefetcher), or jumps to another page.
+    /// the stream prefetcher), or jumps to another page. A trace starts on
+    /// one of three lines, so that traces run side by side sometimes share
+    /// lines.
     fn trace_strategy() -> impl Strategy<Value = Trace> {
-        prop::collection::vec((0u32..301, 0u32..6, 0u64..8), 1..40).prop_map(|ops| {
-            let mut line = 0u64;
-            let records = ops
-                .into_iter()
-                .map(|(gap, kind, step)| {
-                    line = match step {
-                        0 => line,
-                        1..=4 => line + 1,
-                        5 => line + 64 * 37,
-                        _ => (line * 0x9E37_79B9 + step) % (1 << 20),
-                    };
-                    let addr = PhysAddr::new(line << 6);
-                    match kind {
-                        0 => TraceRecord::write(gap, addr),
-                        1 => TraceRecord::dependent_read(gap, addr),
-                        _ => TraceRecord::read(gap, addr),
-                    }
-                })
-                .collect();
-            Trace::new("random", records)
-        })
+        (
+            0u64..3,
+            prop::collection::vec((0u32..301, 0u32..6, 0u64..8), 1..40),
+        )
+            .prop_map(|(start, ops)| {
+                let mut line = start * 64 * 101;
+                let records = ops
+                    .into_iter()
+                    .map(|(gap, kind, step)| {
+                        line = match step {
+                            0 => line,
+                            1..=4 => line + 1,
+                            5 => line + 64 * 37,
+                            _ => (line * 0x9E37_79B9 + step) % (1 << 20),
+                        };
+                        let addr = PhysAddr::new(line << 6);
+                        match kind {
+                            0 => TraceRecord::write(gap, addr),
+                            1 => TraceRecord::dependent_read(gap, addr),
+                            _ => TraceRecord::read(gap, addr),
+                        }
+                    })
+                    .collect();
+                Trace::new("random", records)
+            })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The gap leap changes nothing: `Core::run` equals the stepped
-        /// reference in the core's result, the memory's statistics and
+        /// The gap leap changes nothing: `Core::run_shared` over one to
+        /// four traces, and `Core::run` over one, equal the stepped
+        /// reference in each core's result, the memory's statistics and
         /// its energy, for windows the leap must respect (a ROB of 7 at
         /// width 3, the in-order core's single entry) and with the
         /// memory's fast-forward off, where the pure-stall leap never
         /// fires but the gap leap still does.
         #[test]
-        fn gap_leap_matches_stepping(trace in trace_strategy()) {
+        fn gap_leap_matches_stepping(traces in prop::collection::vec(trace_strategy(), 1..5)) {
             let cores = [
                 CoreConfig::nehalem_like(),
                 CoreConfig::no_prefetch(),
@@ -804,14 +1082,22 @@ mod tests {
                         };
                         let (mut leapt, mut stepped) = (memory(), memory());
                         let case = format!(
-                            "{config:?} on {:?}, fast-forward {fast_forward}",
+                            "{} traces, {config:?} on {:?}, fast-forward {fast_forward}",
+                            traces.len(),
                             system.bank_model
                         );
-                        let result = core.run(&trace, &mut leapt);
-                        let reference = run_stepped(&core, &trace, &mut stepped);
-                        prop_assert_eq!(result, reference, "{}: {:?} vs {:?}", case, result, reference);
+                        let shared = core.run_shared(&traces, &mut leapt);
+                        let reference = run_stepped(&core, &traces, &mut stepped);
+                        prop_assert_eq!(&shared.per_core, &reference.per_core, "{}", case);
+                        prop_assert_eq!(shared.total_cycles, reference.total_cycles, "{}", case);
                         prop_assert!(leapt.stats() == stepped.stats(), "{}: statistics differ", case);
                         prop_assert!(leapt.energy() == stepped.energy(), "{}: energy differs", case);
+                        if let [trace] = &traces[..] {
+                            let mut alone = memory();
+                            let result = core.run(trace, &mut alone);
+                            prop_assert_eq!(result, reference.per_core[0], "{}", case);
+                            prop_assert!(alone.stats() == stepped.stats(), "{}: statistics differ", case);
+                        }
                     }
                 }
             }

@@ -38,14 +38,12 @@ pub mod analysis;
 pub mod core;
 pub mod llc;
 pub mod metrics;
-pub mod multicore;
 pub mod rob_core;
 pub mod trace;
 
 pub use crate::core::{Core, CoreConfig};
 pub use analysis::{analyze, TraceProfile};
 pub use llc::{CacheOutcome, LastLevelCache};
-pub use metrics::CoreResult;
-pub use multicore::{fairness, weighted_speedup, MultiCore, MultiCoreResult};
+pub use metrics::{fairness, weighted_speedup, CoreResult, MultiCoreResult};
 pub use rob_core::RobCore;
 pub use trace::{DecodeTraceError, Trace, TraceRecord};

@@ -1,4 +1,4 @@
-//! Results of a core run.
+//! Results of a core run, and of several cores sharing one memory.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +56,63 @@ impl CoreResult {
         reg.set_gauge(&format!("{prefix}.ipc"), self.ipc());
         reg.set_gauge(&format!("{prefix}.stall_fraction"), self.stall_fraction());
     }
+}
+
+/// Outcome of a multi-core run.
+#[derive(Debug, Clone)]
+pub struct MultiCoreResult {
+    /// Per-core results; `cpu_cycles` is each core's own finish time on
+    /// the shared clock.
+    pub per_core: Vec<CoreResult>,
+    /// Cycles until the *last* core finished.
+    pub total_cycles: u64,
+}
+
+impl MultiCoreResult {
+    /// Sum of per-core IPCs (system throughput).
+    pub fn throughput(&self) -> f64 {
+        self.per_core.iter().map(CoreResult::ipc).sum()
+    }
+}
+
+/// Weighted speedup: `Σ shared_ipc[i] / solo_ipc[i]` (Snavely & Tullsen).
+/// Equals the core count when sharing costs nothing.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or a solo IPC is zero.
+pub fn weighted_speedup(shared: &[CoreResult], solo: &[CoreResult]) -> f64 {
+    assert_eq!(shared.len(), solo.len(), "core count mismatch");
+    shared
+        .iter()
+        .zip(solo)
+        .map(|(s, alone)| {
+            let base = alone.ipc();
+            assert!(base > 0.0, "solo ipc must be positive");
+            s.ipc() / base
+        })
+        .sum()
+}
+
+/// Fairness: `min(slowdown) / max(slowdown)` over cores, in `(0, 1]`
+/// (1 = every core suffers equally from sharing).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or an IPC is zero.
+pub fn fairness(shared: &[CoreResult], solo: &[CoreResult]) -> f64 {
+    assert_eq!(shared.len(), solo.len(), "core count mismatch");
+    let slowdowns: Vec<f64> = shared
+        .iter()
+        .zip(solo)
+        .map(|(s, alone)| {
+            assert!(s.ipc() > 0.0 && alone.ipc() > 0.0, "ipcs must be positive");
+            alone.ipc() / s.ipc()
+        })
+        .collect();
+    let max = slowdowns.iter().cloned().fold(f64::MIN, f64::max);
+    let min = slowdowns.iter().cloned().fold(f64::MAX, f64::min);
+    min / max
 }
 
 #[cfg(test)]

@@ -843,11 +843,10 @@ pub(crate) fn mlp(params: &ExperimentParams) -> Result<StudyOutcome, SimError> {
 /// Four distinct workloads on four cores sharing one memory, per design:
 /// throughput, weighted speedup and fairness.
 pub(crate) fn cores(params: &ExperimentParams) -> Result<StudyOutcome, SimError> {
-    use fgnvm_cpu::{fairness, weighted_speedup, MultiCore};
-    const CORES: usize = 4;
+    use fgnvm_cpu::{fairness, weighted_speedup};
+    const CORES: usize = STUDY_PROFILES.len();
     let traces = traces(&STUDY_PROFILES, params);
     let core = Core::new(params.core)?;
-    let multi = MultiCore::new(params.core, CORES)?;
     let mut out = StudyOutcome::new(
         format!("{CORES}-core consolidation (private windows, shared memory)"),
         &["design"],
@@ -868,7 +867,7 @@ pub(crate) fn cores(params: &ExperimentParams) -> Result<StudyOutcome, SimError>
             .iter()
             .map(|t| Ok(core.run(t, &mut MemorySystem::new(config)?)))
             .collect::<Result<Vec<_>, SimError>>()?;
-        let shared = multi.run(&traces, &mut MemorySystem::new(config)?);
+        let shared = core.run_shared(&traces, &mut MemorySystem::new(config)?);
         out.push(
             vec![design.into()],
             vec![

@@ -6,7 +6,7 @@
 //! cargo run -p fgnvm-sim --release --example multicore
 //! ```
 
-use fgnvm_cpu::{fairness, weighted_speedup, Core, CoreConfig, MultiCore};
+use fgnvm_cpu::{fairness, weighted_speedup, Core, CoreConfig};
 use fgnvm_mem::MemorySystem;
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::geometry::Geometry;
@@ -23,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let cfg = CoreConfig::nehalem_like();
-    let solo_core = Core::new(cfg)?;
-    let multi = MultiCore::new(cfg, traces.len())?;
+    let core = Core::new(cfg)?;
 
     println!("{} cores sharing one memory channel:\n", traces.len());
     for (label, config) in [
@@ -36,11 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|t| {
                 let mut mem = MemorySystem::new(config)?;
-                Ok::<_, fgnvm_types::ConfigError>(solo_core.run(t, &mut mem))
+                Ok::<_, fgnvm_types::ConfigError>(core.run(t, &mut mem))
             })
             .collect::<Result<_, _>>()?;
         let mut mem = MemorySystem::new(config)?;
-        let shared = multi.run(&traces, &mut mem);
+        let shared = core.run_shared(&traces, &mut mem);
         println!("--- {label} ---");
         for ((name, s), alone) in names.iter().zip(&shared.per_core).zip(&solo) {
             println!(
