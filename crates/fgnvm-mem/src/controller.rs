@@ -474,8 +474,7 @@ impl Controller {
     }
 
     /// Advances one controller cycle: retires due completions into `out` and
-    /// issues up to `commands_per_cycle` new commands. Returns whether any
-    /// command issued (used by fast-forward to detect dead cycles).
+    /// issues up to `commands_per_cycle` new commands.
     ///
     /// `obs` is the optional observability sink; `None` (the default) makes
     /// every hook site a skipped branch, keeping the hot path unchanged.
@@ -485,7 +484,7 @@ impl Controller {
         stats: &mut SystemStats,
         out: &mut Vec<Completion>,
         mut obs: Option<&mut Observer>,
-    ) -> bool {
+    ) {
         // Retire completions whose data has arrived.
         let mut mutated = false;
         while let Some(Reverse(ev)) = self.events.peek() {
@@ -530,7 +529,6 @@ impl Controller {
             // already evaluated it one step ahead.)
             self.next_cache.set(None);
         }
-        issued_any
     }
 
     /// Tries to issue one command; returns whether anything issued.

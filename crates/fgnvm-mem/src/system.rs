@@ -551,21 +551,12 @@ impl MemorySystem {
     /// Advances one memory cycle, appending completions to `out` (avoids
     /// per-cycle allocation in hot loops).
     pub fn tick_into(&mut self, out: &mut Vec<Completion>) {
-        self.tick_into_report(out);
-    }
-
-    /// Like [`tick_into`](Self::tick_into), additionally reporting whether
-    /// any controller issued a command. The fast-forward loops use this to
-    /// detect dead cycles without re-deriving the issue decision.
-    fn tick_into_report(&mut self, out: &mut Vec<Completion>) -> bool {
         // Spare rows reserved at the top of each bank for remapping;
         // once they run out, failing rows escalate down the wear-out
         // ladder: retirement → per-bank read-only → capacity exhaustion.
         let spare_rows = self.config.reliability.spare_rows_per_bank;
-        let mut issued_any = false;
         for (channel, controller) in self.controllers.iter_mut().enumerate() {
-            issued_any |=
-                controller.tick(self.now, &mut self.stats, out, self.observer.as_deref_mut());
+            controller.tick(self.now, &mut self.stats, out, self.observer.as_deref_mut());
             for (bank_index, row) in controller.take_bad_rows() {
                 let key = (channel as u32, bank_index, row);
                 if self.bad_rows.contains_key(&key) {
@@ -661,7 +652,6 @@ impl MemorySystem {
             self.record_sample(self.now);
         }
         self.now.advance();
-        issued_any
     }
 
     /// Records one time-series sample stamped `at` from the current
