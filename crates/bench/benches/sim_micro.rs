@@ -67,6 +67,53 @@ fn cycles_per_sec(fast_forward: bool, reps: u32) -> (u64, f64) {
     (cycles, best)
 }
 
+/// Seconds for `drains` back-to-back observed write drains, with or
+/// without the telemetry engine.
+fn observed_secs(telemetry: bool, drains: u32) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..drains {
+        black_box(write_drain_with(true, true, telemetry));
+    }
+    start.elapsed().as_secs_f64()
+}
+
+/// Telemetry's share of the observed run's wall time, and the observed
+/// and telemetry rates in simulated cycles per second. A single drain
+/// takes well under a millisecond, where scheduler noise swamps a few
+/// percent, so each sample repeats the drain for at least 10 ms; the
+/// two modes alternate in 21 pairs (each pair in the other order from
+/// the last), and the median pair's fraction is reported.
+fn telemetry_overhead(cycles: u64) -> (f64, f64, f64) {
+    const PAIRS: usize = 21;
+    // Doubling until the faster mode takes 10 ms also warms both up.
+    let mut drains = 1;
+    while observed_secs(false, drains) < 0.010 {
+        drains *= 2;
+    }
+    let mut observed = Vec::with_capacity(PAIRS);
+    let mut telemetry = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            observed.push(observed_secs(false, drains));
+            telemetry.push(observed_secs(true, drains));
+        } else {
+            telemetry.push(observed_secs(true, drains));
+            observed.push(observed_secs(false, drains));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let fractions = observed.iter().zip(&telemetry).map(|(o, t)| 1.0 - o / t);
+    let rate = |secs: f64| (cycles * u64::from(drains)) as f64 / secs;
+    (
+        median(fractions.collect()),
+        rate(median(observed)),
+        rate(median(telemetry)),
+    )
+}
+
 /// One sweep-executor job: several fast-forwarded drains, large enough
 /// (a few ms) that worker spawn/steal overhead is measurement noise.
 /// Returns simulated cycles.
@@ -116,24 +163,13 @@ fn emit_bench_sim_json() {
         "enabling telemetry perturbed the benchmark workload"
     );
     let speedup = ff_rate / stepped_rate;
-    // Telemetry overhead on top of the observer, best-of to shed noise.
-    let best_rate = |telemetry: bool| {
-        let mut best = 0.0f64;
-        for _ in 0..9 {
-            let start = std::time::Instant::now();
-            let cycles = black_box(write_drain_with(true, true, telemetry));
-            best = best.max(cycles as f64 / start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let observed_rate = best_rate(false);
-    let telemetry_rate = best_rate(true);
-    // Best-of-N rates still jitter a percent or so, so the raw fraction
-    // can land slightly negative. That means "unmeasurably small", not
-    // that telemetry sped the simulator up: the headline clamps at zero
-    // and the raw value is recorded alongside it so the CI guard can
+    // Telemetry overhead on top of the observer. A median can land
+    // slightly negative, which means "unmeasurably small", not that
+    // telemetry sped the simulator up: the headline clamps at zero and
+    // the raw value is recorded alongside it so the CI guard can
     // distinguish noise-floor readings from real regressions.
-    let telemetry_overhead_raw = 1.0 - telemetry_rate / observed_rate;
+    let (telemetry_overhead_raw, observed_rate, telemetry_rate) =
+        telemetry_overhead(telemetry_cycles);
     let telemetry_overhead = telemetry_overhead_raw.max(0.0);
     // Sweep-executor core scaling: the same 16-job sweep at one worker,
     // two workers, and the host's full parallelism. Efficiency is the
@@ -199,9 +235,9 @@ fn emit_bench_sim_json() {
         "fast-forward speedup {speedup:.1}x fell below the 5x floor"
     );
     // Loose backstop: the telemetry engine folds into existing hooks, so
-    // anything beyond a few percent of wall rate is a hot-path regression.
-    // (Typical measured overhead is ≤2%; 10% keeps shared-runner noise
-    // from flaking CI while still catching real regressions.)
+    // anything well beyond its measured share is a hot-path regression.
+    // (Measured at 5–7% on a shared 2-vCPU host; 10% leaves room for
+    // runner noise while still catching real regressions.)
     assert!(
         telemetry_overhead <= 0.10,
         "telemetry overhead {telemetry_overhead:.3} of wall rate exceeds the 10% backstop"
