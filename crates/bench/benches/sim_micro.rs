@@ -236,8 +236,8 @@ fn emit_bench_sim_json() {
     );
     // Loose backstop: the telemetry engine folds into existing hooks, so
     // anything well beyond its measured share is a hot-path regression.
-    // (Measured at 5–7% on a shared 2-vCPU host; 10% leaves room for
-    // runner noise while still catching real regressions.)
+    // (Measured at 4–9%, median 6.5%, over 16 records on a shared 2-vCPU
+    // host.)
     assert!(
         telemetry_overhead <= 0.10,
         "telemetry overhead {telemetry_overhead:.3} of wall rate exceeds the 10% backstop"
