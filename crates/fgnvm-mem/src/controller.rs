@@ -24,7 +24,7 @@ use fgnvm_types::TimingCycles;
 
 use crate::bus::DataBus;
 use crate::cmdlog::{CommandLog, CommandRecord};
-use crate::queues::{DrainPolicy, Pending, QueueBanks, RequestQueue};
+use crate::queues::{DrainPolicy, Key, Pending, RequestQueue};
 use crate::scheduler::{make_scheduler, BankView, Scheduler};
 use crate::stats::SystemStats;
 
@@ -193,12 +193,12 @@ pub struct Controller {
     ///
     /// [`issue_one`]: Controller::issue_one
     event_driven: bool,
-    /// The read queue's entries per bank index: their count and issue
-    /// bound, and the set of occupied banks. Queue entries cluster on few
-    /// banks, and a bank's bound gates every entry on it alike — so the
-    /// calendar scan and the gate pre-check walk the occupied banks' set
-    /// bits (one bound per *occupied bank*, never one per bank), and the
-    /// picks skip every entry whose bank's bound is still ahead.
+    /// The read queue's issue bound per bank index: no read queued on
+    /// the bank can issue before it. Queue entries cluster on few banks,
+    /// and a bank's bound gates every entry on it alike — so the calendar
+    /// scan and the gate pre-check visit the queue's occupied banks (one
+    /// bound per *occupied bank*, never one per bank), and the picks visit
+    /// only the occupied banks whose bound has arrived.
     ///
     /// A bound is reset to the bank's [`Bank::ready_at`] when the bank
     /// commits or is restored from a checkpoint (both queues' bounds) and
@@ -207,13 +207,12 @@ pub struct Controller {
     /// smallest `retry_at` of the queue's entries on the bank — but only
     /// when the banks declare [`Bank::stable_verdicts`], whose blocked
     /// verdicts hold until that instant while nothing commits, so the
-    /// raised bound is exactly what re-planning would find. Counts, bounds
-    /// and the occupied set are derived state: restore rebuilds them and
-    /// checkpoints omit them.
-    reads_by_bank: QueueBanks,
-    /// The write queue's entries per bank index; same role as
-    /// [`reads_by_bank`](field@Controller::reads_by_bank).
-    writes_by_bank: QueueBanks,
+    /// raised bound is exactly what re-planning would find. Bounds are
+    /// derived state: restore rebuilds them and checkpoints omit them.
+    read_bounds: Vec<Cell<Cycle>>,
+    /// The write queue's issue bound per bank index; same role as
+    /// [`read_bounds`](field@Controller::read_bounds).
+    write_bounds: Vec<Cell<Cycle>>,
     /// Whether every bank declares [`Bank::stable_verdicts`], so the
     /// calendar may raise issue bounds past readiness.
     stable_verdicts: bool,
@@ -312,8 +311,8 @@ impl Controller {
         Ok(Controller {
             channel,
             banks_per_rank: config.geometry.banks_per_rank(),
-            reads: RequestQueue::new(config.queue_entries),
-            writes: RequestQueue::new(config.write_queue_entries),
+            reads: RequestQueue::new(config.queue_entries, bank_count),
+            writes: RequestQueue::new(config.write_queue_entries, bank_count),
             scheduler: make_scheduler(config.scheduler),
             bus: DataBus::new(config.data_bus_width, timing.t_burst),
             last_burst: None,
@@ -343,8 +342,8 @@ impl Controller {
             next_cache: Cell::new(None),
             issue_bound: Cell::new(None),
             event_driven: true,
-            reads_by_bank: QueueBanks::new(bank_count),
-            writes_by_bank: QueueBanks::new(bank_count),
+            read_bounds: vec![Cell::new(Cycle::ZERO); bank_count],
+            write_bounds: vec![Cell::new(Cycle::ZERO); bank_count],
             stable_verdicts: banks.iter().all(|b| b.stable_verdicts()),
             banks,
         })
@@ -372,24 +371,24 @@ impl Controller {
     /// write queue) with a fabricated minimum-latency plan. The fabricated
     /// `earliest_data` keeps `commit`'s burst assertion satisfied while the
     /// kind/state mismatch produces a genuinely protocol-violating stream.
-    fn chaos_pick(&self, now: Cycle) -> Option<(bool, usize, AccessPlan)> {
+    fn chaos_pick(&self, now: Cycle) -> Option<(bool, Key, AccessPlan)> {
         if !self.chaos {
             return None;
         }
-        if !self.reads.is_empty() {
+        if let Some((head, _)) = self.reads.front() {
             Some((
                 false,
-                0,
+                head,
                 AccessPlan {
                     kind: PlanKind::RowHit,
                     earliest_data: now + self.timing.t_cas,
                     sense_bits: 0,
                 },
             ))
-        } else if !self.writes.is_empty() {
+        } else if let Some((head, _)) = self.writes.front() {
             Some((
                 true,
-                0,
+                head,
                 AccessPlan {
                     kind: PlanKind::Write,
                     earliest_data: now + self.timing.t_cwd,
@@ -415,7 +414,10 @@ impl Controller {
     fn enqueue_inner(&mut self, pending: Pending, now: Cycle, stats: &mut SystemStats) -> Enqueue {
         match pending.request.op {
             Op::Read => {
-                if self.writes.contains_addr(pending.request.addr) {
+                if self
+                    .writes
+                    .contains_addr(pending.bank_index, pending.request.addr)
+                {
                     // Store-to-load forwarding from the write queue.
                     stats.forwarded_reads += 1;
                     stats.enqueued_reads += 1;
@@ -433,17 +435,17 @@ impl Controller {
                     stats.rejected += 1;
                     return Enqueue::Full;
                 }
-                self.reads_by_bank.add(pending.bank_index);
                 // The newcomer may issue as soon as its bank is ready.
-                self.reads_by_bank[pending.bank_index]
-                    .bound
-                    .set(self.banks[pending.bank_index].ready_at());
+                self.read_bounds[pending.bank_index].set(self.banks[pending.bank_index].ready_at());
                 stats.enqueued_reads += 1;
                 stats.note_enqueued(pending.request.tenant, true);
                 Enqueue::Accepted
             }
             Op::Write => {
-                if self.writes.contains_addr(pending.request.addr) {
+                if self
+                    .writes
+                    .contains_addr(pending.bank_index, pending.request.addr)
+                {
                     // Coalesce with the queued write to the same line; the
                     // merged request is acknowledged immediately.
                     stats.merged_writes += 1;
@@ -462,9 +464,7 @@ impl Controller {
                     stats.rejected += 1;
                     return Enqueue::Full;
                 }
-                self.writes_by_bank.add(pending.bank_index);
-                self.writes_by_bank[pending.bank_index]
-                    .bound
+                self.write_bounds[pending.bank_index]
                     .set(self.banks[pending.bank_index].ready_at());
                 stats.enqueued_writes += 1;
                 stats.note_enqueued(pending.request.tenant, false);
@@ -564,11 +564,11 @@ impl Controller {
         }
         // Choose between the read and write queues.
         let write_pick = |me: &Self| {
-            let banks = BankView::new(&me.banks, me.writes_by_bank.entries());
+            let banks = BankView::new(&me.banks, &me.write_bounds);
             me.scheduler.pick_write(&me.writes, &me.reads, banks, now)
         };
         let read_pick = |me: &Self| {
-            let banks = BankView::new(&me.banks, me.reads_by_bank.entries());
+            let banks = BankView::new(&me.banks, &me.read_bounds);
             me.scheduler.pick_read(&me.reads, banks, now)
         };
 
@@ -588,7 +588,7 @@ impl Controller {
         } else {
             None
         };
-        let Some((from_writes, index, plan)) = picked.or_else(|| self.chaos_pick(now)) else {
+        let Some((from_writes, key, plan)) = picked.or_else(|| self.chaos_pick(now)) else {
             return false;
         };
 
@@ -601,11 +601,7 @@ impl Controller {
                 } else {
                     &self.reads
                 };
-                let bank = queue
-                    .iter()
-                    .nth(index)
-                    .expect("picked index exists")
-                    .bank_index;
+                let bank = queue.get(key).expect("picked entry exists").bank_index;
                 let rank = bank as u32 / self.banks_per_rank;
                 if now < faw.ready(rank as usize) {
                     return false;
@@ -621,14 +617,14 @@ impl Controller {
         // so stepped and fast-forward runs (which issue at identical
         // cycles with identical state) produce bit-identical streams.
         let audit_probe = match &obs {
-            Some(o) if o.audit_enabled() => Some(self.audit_probe(from_writes, index, now)),
+            Some(o) if o.audit_enabled() => Some(self.audit_probe(from_writes, key, now)),
             _ => None,
         };
 
         let removed = if from_writes {
-            self.writes.remove(index)
+            self.writes.remove(key)
         } else {
-            self.reads.remove(index)
+            self.reads.remove(key)
         };
         let pending = match removed {
             Ok(pending) => pending,
@@ -641,11 +637,6 @@ impl Controller {
                 return false;
             }
         };
-        if from_writes {
-            self.writes_by_bank.remove(pending.bank_index);
-        } else {
-            self.reads_by_bank.remove(pending.bank_index);
-        }
         // Rank-to-rank bus turnaround: a burst from a different rank than
         // the previous one cannot start until tRTRS after it ends.
         let rank = pending.bank_index as u32 / self.banks_per_rank;
@@ -660,8 +651,8 @@ impl Controller {
         // The commit moved the bank's state: every entry on it may issue
         // as soon as it is ready again.
         let ready = self.banks[pending.bank_index].ready_at();
-        self.reads_by_bank[pending.bank_index].bound.set(ready);
-        self.writes_by_bank[pending.bank_index].bound.set(ready);
+        self.read_bounds[pending.bank_index].set(ready);
+        self.write_bounds[pending.bank_index].set(ready);
         if plan.kind.senses() {
             if let Some(faw) = &mut self.faw {
                 faw.record(rank as usize, now);
@@ -777,12 +768,9 @@ impl Controller {
                     now.raw(),
                 );
             }
+            // The commit above already reset this bank's bounds.
             let requeued = self.writes.push(pending);
             debug_assert!(requeued, "slot was freed by the remove above");
-            if requeued {
-                // The commit above already reset this bank's bounds.
-                self.writes_by_bank.add(pending.bank_index);
-            }
         } else {
             // Writes are posted: report completion when the cells finish
             // programming (useful for drain accounting; the CPU does not
@@ -802,7 +790,7 @@ impl Controller {
     }
 
     /// The audit probe behind [`issue_one`]'s opt-in decision record: with
-    /// the chosen entry (position `index` of the `from_writes` queue) still
+    /// the chosen entry (`key` of the `from_writes` queue) still
     /// in place, plans every other queued entry read-only and classifies it
     /// as gated (per [`BlockGate`]) or ready, then greedily builds the
     /// legal co-issue set — a ready peer joins when it is rook-compatible
@@ -812,13 +800,13 @@ impl Controller {
     /// writes) makes the greedy set deterministic.
     ///
     /// [`issue_one`]: Controller::issue_one
-    fn audit_probe(&self, from_writes: bool, index: usize, now: Cycle) -> AuditProbe {
+    fn audit_probe(&self, from_writes: bool, key: Key, now: Cycle) -> AuditProbe {
         let chosen_queue = if from_writes {
             &self.writes
         } else {
             &self.reads
         };
-        let chosen = chosen_queue.iter().nth(index).expect("picked index exists");
+        let chosen = chosen_queue.get(key).expect("picked entry exists");
         let mut probe = AuditProbe {
             considered: 0,
             blocked: [0; GATES],
@@ -835,9 +823,9 @@ impl Controller {
             chosen.access.coord.cd_count,
         )];
         for (is_writes, queue) in [(false, &self.reads), (true, &self.writes)] {
-            for (pos, p) in queue.iter().enumerate() {
+            for (queued, p) in queue.iter() {
                 probe.considered += 1;
-                if is_writes == from_writes && pos == index {
+                if is_writes == from_writes && queued == key {
                     continue;
                 }
                 match self.banks[p.bank_index].plan(&p.access, now) {
@@ -932,13 +920,14 @@ impl Controller {
 
     /// The calendar's scan: like [`next_event_at_linear`] but driven by
     /// the occupied banks, in ascending order, and their issue bounds (see
-    /// [`reads_by_bank`](field@Controller::reads_by_bank)), so a fully
+    /// [`read_bounds`](field@Controller::read_bounds)), so a fully
     /// gated channel costs one bound read per *occupied bank* instead of
-    /// one plan per queued entry. A bank is re-planned only once its bound
-    /// has arrived, and on banks with stable verdicts the smallest blocked
-    /// `retry_at` becomes its new bound — exactly the minimum the linear
-    /// reference would compute from the bank's entries until the bank
-    /// commits or the queue gains an entry on it.
+    /// one plan per queued entry. A bank is re-planned, by walking its own
+    /// list, only once its bound has arrived, and on banks with stable
+    /// verdicts the smallest blocked `retry_at` becomes its new bound —
+    /// exactly the minimum the linear reference would compute from the
+    /// bank's entries until the bank commits or the queue gains an entry
+    /// on it.
     ///
     /// [`next_event_at_linear`]: Controller::next_event_at_linear
     fn next_event_at_scan(&self, now: Cycle) -> Option<Cycle> {
@@ -961,15 +950,15 @@ impl Controller {
         let consider_reads = !drain_next || self.scheduler.reads_during_drain();
         let consider_writes = drain_next || self.reads.is_empty();
         let queues = [
-            (consider_reads, &self.reads, &self.reads_by_bank),
-            (consider_writes, &self.writes, &self.writes_by_bank),
+            (consider_reads, &self.reads, &self.read_bounds),
+            (consider_writes, &self.writes, &self.write_bounds),
         ];
-        for (consider, queue, by_bank) in queues {
+        for (consider, queue, bounds) in queues {
             if !consider {
                 continue;
             }
-            for (bank_index, entries) in by_bank.occupied() {
-                let bound = entries.bound.get();
+            for bank_index in queue.occupied_banks() {
+                let bound = bounds[bank_index].get();
                 if bound > now {
                     // No entry of this queue can issue on the bank before
                     // `bound`, which gates every one of them alike.
@@ -986,7 +975,7 @@ impl Controller {
                 // keeping the path allocation-free and exact either way.
                 let mut classes = [(0u128, Cycle::MAX); 16];
                 let mut class_count = 0usize;
-                'entries: for pending in queue.iter().filter(|p| p.bank_index == bank_index) {
+                'entries: for (_, pending) in queue.bank(bank_index) {
                     let key = bank.plan_class(&pending.access);
                     for &(k, retry) in &classes[..class_count] {
                         if k == key {
@@ -1011,7 +1000,7 @@ impl Controller {
                 }
                 gates = gates.min(retry_min);
                 if self.stable_verdicts {
-                    entries.bound.set(retry_min);
+                    bounds[bank_index].set(retry_min);
                 }
             }
         }
@@ -1054,7 +1043,7 @@ impl Controller {
             if !consider {
                 continue;
             }
-            for pending in queue.iter() {
+            for (_, pending) in queue.iter() {
                 let bank = &self.banks[pending.bank_index];
                 let ready = bank.ready_at();
                 if ready > now {
@@ -1086,13 +1075,18 @@ impl Controller {
     /// scheduler. Only occupied banks are visited.
     fn earliest_bank_gate(&self, now: Cycle) -> Cycle {
         let mut earliest = Cycle::MAX;
-        let occupied = self.reads_by_bank.occupied();
-        for (_, entries) in occupied.chain(self.writes_by_bank.occupied()) {
-            let bound = entries.bound.get();
-            if bound <= now {
-                return now;
+        let queues = [
+            (&self.reads, &self.read_bounds),
+            (&self.writes, &self.write_bounds),
+        ];
+        for (queue, bounds) in queues {
+            for bank in queue.occupied_banks() {
+                let bound = bounds[bank].get();
+                if bound <= now {
+                    return now;
+                }
+                earliest = earliest.min(bound);
             }
-            earliest = earliest.min(bound);
         }
         earliest
     }
@@ -1191,7 +1185,7 @@ impl Controller {
             self.draining
         );
         for (label, queue) in [("read", &self.reads), ("write", &self.writes)] {
-            for pending in queue.iter().take(4) {
+            for (_, pending) in queue.iter().take(4) {
                 match self.banks[pending.bank_index].plan(&pending.access, now) {
                     Ok(_) => {
                         let _ = writeln!(
@@ -1364,21 +1358,9 @@ impl Controller {
         // from may have changed.
         self.next_cache.set(None);
         self.issue_bound.set(None);
-        let queues = [
-            ("read", &self.reads, &mut self.reads_by_bank),
-            ("write", &self.writes, &mut self.writes_by_bank),
-        ];
-        for (label, queue, by_bank) in queues {
-            by_bank.reset(|bank| self.banks[bank].ready_at());
-            for p in queue.iter() {
-                if p.bank_index >= n_banks {
-                    return Err(fgnvm_types::SnapshotError::Corrupt(format!(
-                        "queued {label} names bank {}, channel has {n_banks} banks",
-                        p.bank_index
-                    )));
-                }
-                by_bank.add(p.bank_index);
-            }
+        for (index, bank) in self.banks.iter().enumerate() {
+            self.read_bounds[index].set(bank.ready_at());
+            self.write_bounds[index].set(bank.ready_at());
         }
         // Restored queues can legally hold a full complement of requests;
         // keep the event heap's no-reallocation guarantee intact.
@@ -1539,6 +1521,30 @@ mod tests {
         }
         assert_eq!(out.len(), 2);
         assert!(out[0].finished <= out[1].finished);
+        assert!(c.is_idle());
+    }
+
+    #[test]
+    fn checkpoint_naming_a_bank_outside_the_channel_is_refused() {
+        // A queued read naming bank 2^32: the restore must refuse it as
+        // corrupt before linking it into any bank's list.
+        let config = SystemConfig::fgnvm(8, 2).unwrap();
+        let mut w = fgnvm_types::SnapshotWriter::new();
+        w.tag("ctrl");
+        w.u32(0);
+        w.tag("rqueue");
+        w.usize(1);
+        crate::queues::save_pending(&pending(0, Op::Read, 1 << 32, 0, 0), &mut w);
+        let blob = w.finish();
+        let mut r = fgnvm_types::SnapshotReader::new(&blob).unwrap();
+        let mut c = controller(&config);
+        match c.load_state(&mut r) {
+            Err(fgnvm_types::SnapshotError::Corrupt(message)) => assert_eq!(
+                message,
+                "queued read names bank 4294967296, channel has 8 banks"
+            ),
+            other => panic!("expected a corrupt-checkpoint error, got {other:?}"),
+        }
         assert!(c.is_idle());
     }
 

@@ -5,14 +5,10 @@
 //! background by watermark. Reads that hit a queued write are forwarded from
 //! the buffer without touching the array.
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-
 use fgnvm_bank::Access;
 use fgnvm_types::address::{DecodedAddr, PhysAddr};
 use fgnvm_types::error::SimError;
 use fgnvm_types::request::Request;
-use fgnvm_types::time::Cycle;
 
 /// A request waiting at the controller, with its decode cached.
 #[derive(Debug, Clone, Copy)]
@@ -27,236 +23,253 @@ pub struct Pending {
     pub bank_index: usize,
 }
 
-/// One queue's entries on one bank: how many there are, and an issue bound
-/// no entry of them can issue before (the controller keeps it).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BankEntries {
-    /// Entries of the queue that target the bank.
-    pub(crate) queued: u32,
-    /// None of them can issue before this instant.
-    pub(crate) bound: Cell<Cycle>,
+/// A queued entry's handle: its arrival sequence number and the storage
+/// slot it occupies. The keys of one queue order by arrival, so the older
+/// of two entries has the smaller key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Key {
+    seq: u64,
+    slot: u32,
 }
 
-/// One queue's [`BankEntries`] for every bank of a channel, plus a bitset
-/// of the banks that hold at least one entry: a bank's bit is set when its
-/// count goes 0 → 1 and cleared when it goes 1 → 0. Walking the set bits
-/// visits only occupied banks, in ascending bank order, for one word read
-/// per 64 banks. The bitset is derived from the counts, so checkpoints
-/// omit it and a restore rebuilds it with them.
+/// The link value that names no slot (the end of a list).
+const NIL: u32 = u32::MAX;
+
+/// The sequence number of a slot on the free list.
+const FREE: u64 = u64::MAX;
+
+/// One storage slot: a pending request and its two sets of links.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    pending: Pending,
+    /// Arrival sequence number ([`FREE`] while the slot is unused).
+    seq: u64,
+    /// The next older and younger entries of the queue (`next` also
+    /// links the free list).
+    prev: u32,
+    next: u32,
+    /// The next older and younger entries on the same bank.
+    bank_prev: u32,
+    bank_next: u32,
+}
+
+/// Bounded queue of pending requests: one arrival-ordered list per bank.
+///
+/// Entries live in one slab of `capacity` slots, reserved up front and
+/// shared by every bank, so no storage grows with the bank count or
+/// moves after construction. Each entry is linked into its bank's list
+/// and into the queue-wide arrival-order index, and carries a sequence
+/// number ([`Key`]) that orders entries across banks. The schedulers
+/// walk only the lists of the banks they ask about and merge the
+/// per-bank candidates by key; the calendar scan walks one bank's list;
+/// forwarding and merging search the target bank's list; removal
+/// unlinks the entry its key names without a walk. The callers that
+/// need global order — checkpoints, the audit probe, the FCFS and chaos
+/// heads, the watchdog dump — follow the order index ([`iter`]).
+///
+/// A bitset marks the banks holding at least one entry: a bank's bit is
+/// set when its list goes from empty to one entry and cleared when it
+/// empties, so walking the set bits visits only occupied banks, in
+/// ascending bank order, for one word read per 64 banks. Sequence
+/// numbers, links and the bitset are storage details: checkpoints hold
+/// the entries in arrival order and a restore rebuilds the rest.
+///
+/// [`iter`]: RequestQueue::iter
 #[derive(Debug, Clone)]
-pub(crate) struct QueueBanks {
-    entries: Vec<BankEntries>,
+pub struct RequestQueue {
+    slots: Vec<Slot>,
+    /// Head of the free list (linked through `Slot::next`).
+    free: u32,
+    /// The oldest and youngest entries of the queue.
+    head: u32,
+    tail: u32,
+    /// Per bank index: its oldest and youngest entries.
+    banks: Vec<(u32, u32)>,
     occupied: Vec<u64>,
+    len: usize,
+    capacity: usize,
+    next_seq: u64,
 }
 
-impl QueueBanks {
-    /// No entries on any of `banks` banks.
-    pub(crate) fn new(banks: usize) -> Self {
-        QueueBanks {
-            entries: vec![BankEntries::default(); banks],
+impl RequestQueue {
+    /// Creates an empty queue holding at most `capacity` requests on a
+    /// channel of `banks` banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or does not fit a slot index.
+    pub fn new(capacity: usize, banks: usize) -> Self {
+        assert!(capacity > 0, "queue capacity must be positive");
+        assert!(
+            capacity < NIL as usize,
+            "queue capacity must fit a slot index"
+        );
+        RequestQueue {
+            slots: Vec::with_capacity(capacity),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
+            banks: vec![(NIL, NIL); banks],
             occupied: vec![0; banks.div_ceil(64)],
+            len: 0,
+            capacity,
+            next_seq: 0,
         }
     }
 
-    /// Every bank's entries, by bank index.
-    pub(crate) fn entries(&self) -> &[BankEntries] {
-        &self.entries
-    }
-
-    /// Counts one more entry on `bank`.
-    pub(crate) fn add(&mut self, bank: usize) {
-        let entries = &mut self.entries[bank];
-        entries.queued += 1;
-        if entries.queued == 1 {
-            self.occupied[bank / 64] |= 1 << (bank % 64);
+    /// Attempts to append a request; returns `false` when full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request's bank index is outside the channel.
+    pub fn push(&mut self, pending: Pending) -> bool {
+        if self.len >= self.capacity {
+            return false;
         }
+        let bank = pending.bank_index;
+        let bank_tail = self.banks[bank].1;
+        let slot = Slot {
+            pending,
+            seq: self.next_seq,
+            prev: self.tail,
+            next: NIL,
+            bank_prev: bank_tail,
+            bank_next: NIL,
+        };
+        let index = if self.free == NIL {
+            // Every slot is live, so fewer than `capacity` exist and the
+            // reservation holds this one.
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
+        } else {
+            let index = self.free;
+            self.free = self.slots[index as usize].next;
+            self.slots[index as usize] = slot;
+            index
+        };
+        self.next_seq += 1;
+        match self.tail {
+            NIL => self.head = index,
+            tail => self.slots[tail as usize].next = index,
+        }
+        self.tail = index;
+        match bank_tail {
+            NIL => {
+                self.banks[bank].0 = index;
+                self.occupied[bank / 64] |= 1 << (bank % 64);
+            }
+            tail => self.slots[tail as usize].bank_next = index,
+        }
+        self.banks[bank].1 = index;
+        self.len += 1;
+        true
     }
 
-    /// Counts one entry fewer on `bank`.
-    pub(crate) fn remove(&mut self, bank: usize) {
-        let entries = &mut self.entries[bank];
-        entries.queued -= 1;
-        if entries.queued == 0 {
+    /// Removes and returns the entry `key` names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::QueueIndex`] when `key` names no queued entry
+    /// (every caller takes keys from this queue's current entries, so
+    /// that is a scheduler bug); the queue is left untouched.
+    pub fn remove(&mut self, key: Key) -> Result<Pending, SimError> {
+        let Some(slot) = self.slot(key) else {
+            return Err(SimError::QueueIndex {
+                index: key.slot as usize,
+                len: self.len,
+            });
+        };
+        let Slot {
+            pending,
+            prev,
+            next,
+            bank_prev,
+            bank_next,
+            ..
+        } = *slot;
+        match prev {
+            NIL => self.head = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.slots[next as usize].prev = prev,
+        }
+        let bank = pending.bank_index;
+        match bank_prev {
+            NIL => self.banks[bank].0 = bank_next,
+            prev => self.slots[prev as usize].bank_next = bank_next,
+        }
+        match bank_next {
+            NIL => self.banks[bank].1 = bank_prev,
+            next => self.slots[next as usize].bank_prev = bank_prev,
+        }
+        if self.banks[bank].0 == NIL {
             self.occupied[bank / 64] &= !(1 << (bank % 64));
         }
+        let freed = &mut self.slots[key.slot as usize];
+        freed.seq = FREE;
+        freed.next = self.free;
+        self.free = key.slot;
+        self.len -= 1;
+        Ok(pending)
     }
 
-    /// Empties every bank and resets each bank's bound to `bound(bank)`.
-    pub(crate) fn reset(&mut self, bound: impl Fn(usize) -> Cycle) {
-        for (bank, entries) in self.entries.iter_mut().enumerate() {
-            *entries = BankEntries {
-                queued: 0,
-                bound: bound(bank).into(),
-            };
+    /// The live slot `key` names.
+    fn slot(&self, key: Key) -> Option<&Slot> {
+        self.slots
+            .get(key.slot as usize)
+            .filter(|slot| slot.seq == key.seq)
+    }
+
+    /// The entry `key` names, if it is still queued.
+    pub fn get(&self, key: Key) -> Option<&Pending> {
+        self.slot(key).map(|slot| &slot.pending)
+    }
+
+    /// Entries in arrival order, with their keys.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &Pending)> + '_ {
+        Links::<false> {
+            slots: &self.slots,
+            at: self.head,
         }
-        self.occupied.fill(0);
     }
 
-    /// The banks holding at least one entry, with their entries, in
-    /// ascending bank order.
-    pub(crate) fn occupied(&self) -> Occupied<'_> {
+    /// The entries on `bank`, in arrival order, with their keys.
+    pub fn bank(&self, bank: usize) -> impl Iterator<Item = (Key, &Pending)> + '_ {
+        Links::<true> {
+            slots: &self.slots,
+            at: self.banks[bank].0,
+        }
+    }
+
+    /// The oldest entry, with its key.
+    pub fn front(&self) -> Option<(Key, &Pending)> {
+        self.iter().next()
+    }
+
+    /// The banks holding at least one entry, in ascending bank order.
+    pub fn occupied_banks(&self) -> impl Iterator<Item = usize> + '_ {
         Occupied {
-            entries: &self.entries,
             words: &self.occupied,
             word: 0,
             bits: self.occupied.first().copied().unwrap_or(0),
         }
     }
-}
-
-impl std::ops::Index<usize> for QueueBanks {
-    type Output = BankEntries;
-
-    fn index(&self, bank: usize) -> &BankEntries {
-        &self.entries[bank]
-    }
-}
-
-/// The iterator [`QueueBanks::occupied`] returns.
-#[derive(Debug)]
-pub(crate) struct Occupied<'a> {
-    entries: &'a [BankEntries],
-    words: &'a [u64],
-    word: usize,
-    /// The set bits of `words[word]` not yet visited.
-    bits: u64,
-}
-
-impl<'a> Iterator for Occupied<'a> {
-    type Item = (usize, &'a BankEntries);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.bits == 0 {
-            self.word += 1;
-            self.bits = *self.words.get(self.word)?;
-        }
-        let bank = self.word * 64 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some((bank, &self.entries[bank]))
-    }
-}
-
-/// One physical slot: a pending request, or the tombstone a mid-queue
-/// removal left behind.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    pending: Pending,
-    dead: bool,
-}
-
-/// Bounded FIFO of pending requests preserving arrival order.
-///
-/// Mid-queue removal is tombstone-based: FCFS/FRFCFS age order must be
-/// preserved exactly (a swap-remove would reorder arrivals), so a removed
-/// entry is marked dead in place instead of shifting every younger entry
-/// forward. Dead slots at the front are popped eagerly, and the backing
-/// ring is compacted in place once tombstones reach the queue's capacity,
-/// so the storage stays bounded at `2 × capacity` and removal is amortized
-/// O(live) slot *scans* with no entry moves in the common case. Iteration,
-/// indices, and occupancy are all expressed in live entries only —
-/// tombstones are invisible through the public API.
-#[derive(Debug, Clone)]
-pub struct RequestQueue {
-    entries: VecDeque<Slot>,
-    /// Live (non-tombstone) entries — the queue's logical occupancy.
-    live: usize,
-    capacity: usize,
-}
-
-impl RequestQueue {
-    /// Creates an empty queue holding at most `capacity` requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        RequestQueue {
-            // Twice the logical capacity so tombstones never force a
-            // reallocation: compaction runs before the ring can outgrow it
-            // (part of the steady-state zero-allocation guarantee).
-            entries: VecDeque::with_capacity(capacity * 2),
-            live: 0,
-            capacity,
-        }
-    }
-
-    /// Attempts to append a request; returns `false` when full.
-    pub fn push(&mut self, pending: Pending) -> bool {
-        if self.live >= self.capacity {
-            return false;
-        }
-        if self.entries.len() - self.live >= self.capacity {
-            // Tombstones have piled up to the reallocation boundary:
-            // compact in place (drops ≥ capacity slots, so this is
-            // amortized O(1) per removal and never allocates).
-            self.entries.retain(|slot| !slot.dead);
-        }
-        self.entries.push_back(Slot {
-            pending,
-            dead: false,
-        });
-        self.live += 1;
-        true
-    }
-
-    /// Removes and returns the live entry at `index` (0 = oldest).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QueueIndex`] when `index` is not a live entry
-    /// (debug builds additionally assert: every caller derives indices
-    /// from this queue, so an out-of-range index is a scheduler bug).
-    pub fn remove(&mut self, index: usize) -> Result<Pending, SimError> {
-        debug_assert!(
-            index < self.live,
-            "queue index {index} out of range ({} live entries)",
-            self.live
-        );
-        let mut seen = 0usize;
-        for slot in self.entries.iter_mut() {
-            if slot.dead {
-                continue;
-            }
-            if seen == index {
-                slot.dead = true;
-                self.live -= 1;
-                let pending = slot.pending;
-                // Keep the front live so age-0 lookups stay O(1).
-                while self.entries.front().is_some_and(|s| s.dead) {
-                    self.entries.pop_front();
-                }
-                return Ok(pending);
-            }
-            seen += 1;
-        }
-        Err(SimError::QueueIndex {
-            index,
-            len: self.live,
-        })
-    }
-
-    /// Entries in arrival order.
-    pub fn iter(&self) -> impl Iterator<Item = &Pending> {
-        self.entries
-            .iter()
-            .filter(|slot| !slot.dead)
-            .map(|slot| &slot.pending)
-    }
 
     /// Number of queued requests.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// True when no more requests fit.
     pub fn is_full(&self) -> bool {
-        self.live >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Maximum number of entries.
@@ -264,23 +277,19 @@ impl RequestQueue {
         self.capacity
     }
 
-    /// True if any queued entry targets `addr` (line-aligned match).
-    pub fn contains_addr(&self, addr: PhysAddr) -> bool {
-        self.iter().any(|p| p.request.addr == addr)
+    /// True if an entry on `bank` targets `addr` (line-aligned match).
+    /// An address decodes to one bank, so no other bank can hold it.
+    pub fn contains_addr(&self, bank: usize, addr: PhysAddr) -> bool {
+        self.bank(bank).any(|(_, p)| p.request.addr == addr)
     }
 
-    /// Index of the first entry targeting `addr`, if any.
-    pub fn position_addr(&self, addr: PhysAddr) -> Option<usize> {
-        self.iter().position(|p| p.request.addr == addr)
-    }
-
-    /// Serialize the queued entries (capacity is structural and rebuilt
-    /// from configuration; tombstones are a transient storage detail and
-    /// are not part of the state).
+    /// Serialize the queued entries in arrival order (capacity is
+    /// structural and rebuilt from configuration; keys and links are
+    /// storage details rebuilt on restore).
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("rqueue");
-        w.usize(self.live);
-        for p in self.iter() {
+        w.usize(self.len);
+        for (_, p) in self.iter() {
             save_pending(p, w);
         }
     }
@@ -291,7 +300,9 @@ impl RequestQueue {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`](fgnvm_types::SnapshotError) when the
-    /// checkpoint holds more entries than this queue's capacity.
+    /// checkpoint holds more entries than this queue's capacity, or an
+    /// entry names a bank outside the channel (refused before it is
+    /// linked into any bank's list).
     pub fn load_state(
         &mut self,
         r: &mut fgnvm_types::SnapshotReader<'_>,
@@ -304,15 +315,77 @@ impl RequestQueue {
                 self.capacity
             )));
         }
-        self.entries.clear();
+        self.slots.clear();
+        self.free = NIL;
+        self.head = NIL;
+        self.tail = NIL;
+        self.banks.fill((NIL, NIL));
+        self.occupied.fill(0);
+        self.len = 0;
+        self.next_seq = 0;
         for _ in 0..n {
-            self.entries.push_back(Slot {
-                pending: load_pending(r)?,
-                dead: false,
-            });
+            let pending = load_pending(r)?;
+            if pending.bank_index >= self.banks.len() {
+                return Err(fgnvm_types::SnapshotError::Corrupt(format!(
+                    "queued {} names bank {}, channel has {} banks",
+                    if pending.request.op.is_read() {
+                        "read"
+                    } else {
+                        "write"
+                    },
+                    pending.bank_index,
+                    self.banks.len()
+                )));
+            }
+            self.push(pending);
         }
-        self.live = n;
         Ok(())
+    }
+}
+
+/// Follows one set of links from a slot: the queue-wide arrival order, or
+/// one bank's list when `BANK` is set.
+#[derive(Debug)]
+struct Links<'a, const BANK: bool> {
+    slots: &'a [Slot],
+    /// The next slot to yield; [`NIL`] lies past every slot.
+    at: u32,
+}
+
+impl<'a, const BANK: bool> Iterator for Links<'a, BANK> {
+    type Item = (Key, &'a Pending);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let slot = self.slots.get(self.at as usize)?;
+        let key = Key {
+            seq: slot.seq,
+            slot: self.at,
+        };
+        self.at = if BANK { slot.bank_next } else { slot.next };
+        Some((key, &slot.pending))
+    }
+}
+
+/// The iterator [`RequestQueue::occupied_banks`] returns.
+#[derive(Debug)]
+struct Occupied<'a> {
+    words: &'a [u64],
+    word: usize,
+    /// The set bits of `words[word]` not yet visited.
+    bits: u64,
+}
+
+impl Iterator for Occupied<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.words.get(self.word)?;
+        }
+        let bank = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(bank)
     }
 }
 
@@ -453,6 +526,10 @@ mod tests {
     use fgnvm_types::time::Cycle;
 
     fn pending(id: u64, addr: u64) -> Pending {
+        on_bank(id, addr, 0)
+    }
+
+    fn on_bank(id: u64, addr: u64, bank: usize) -> Pending {
         Pending {
             request: Request::new(
                 RequestId::new(id),
@@ -471,33 +548,47 @@ mod tests {
                     cd_count: 1,
                 },
             },
-            bank_index: 0,
+            bank_index: bank,
         }
+    }
+
+    fn ids<'a>(entries: impl Iterator<Item = (Key, &'a Pending)>) -> Vec<u64> {
+        entries.map(|(_, p)| p.request.id.raw()).collect()
+    }
+
+    fn key_of(q: &RequestQueue, id: u64) -> Key {
+        q.iter()
+            .find(|(_, p)| p.request.id.raw() == id)
+            .map(|(key, _)| key)
+            .expect("entry is queued")
     }
 
     #[test]
     fn occupied_banks_track_counts_across_words() {
-        let mut banks = QueueBanks::new(130);
-        let occupied = |b: &QueueBanks| b.occupied().map(|(i, _)| i).collect::<Vec<_>>();
-        assert!(occupied(&banks).is_empty());
-        for bank in [129, 3, 64, 63, 3, 0] {
-            banks.add(bank);
+        let mut q = RequestQueue::new(16, 130);
+        let occupied = |q: &RequestQueue| q.occupied_banks().collect::<Vec<_>>();
+        assert!(occupied(&q).is_empty());
+        for (id, bank) in [129, 3, 64, 63, 3, 0].into_iter().enumerate() {
+            assert!(q.push(on_bank(id as u64, id as u64 * 64, bank)));
         }
-        assert_eq!(occupied(&banks), [0, 3, 63, 64, 129]);
-        banks.remove(3);
-        banks.remove(64);
-        assert_eq!(occupied(&banks), [0, 3, 63, 129]);
-        assert_eq!(banks[3].queued, 1);
-        banks.remove(3);
-        assert_eq!(occupied(&banks), [0, 63, 129]);
-        banks.reset(|bank| Cycle::new(bank as u64));
-        assert!(occupied(&banks).is_empty());
-        assert_eq!(banks[129].bound.get(), Cycle::new(129));
+        assert_eq!(occupied(&q), [0, 3, 63, 64, 129]);
+        q.remove(key_of(&q, 1)).unwrap();
+        q.remove(key_of(&q, 2)).unwrap();
+        assert_eq!(occupied(&q), [0, 3, 63, 129]);
+        assert_eq!(ids(q.bank(3)), [4]);
+        q.remove(key_of(&q, 4)).unwrap();
+        assert_eq!(occupied(&q), [0, 63, 129]);
+        let mut w = fgnvm_types::SnapshotWriter::new();
+        RequestQueue::new(16, 130).save_state(&mut w);
+        let blob = w.finish();
+        let mut r = fgnvm_types::SnapshotReader::new(&blob).unwrap();
+        q.load_state(&mut r).unwrap();
+        assert!(occupied(&q).is_empty());
     }
 
     #[test]
     fn push_respects_capacity() {
-        let mut q = RequestQueue::new(2);
+        let mut q = RequestQueue::new(2, 1);
         assert!(q.push(pending(1, 0)));
         assert!(q.push(pending(2, 64)));
         assert!(!q.push(pending(3, 128)));
@@ -505,81 +596,87 @@ mod tests {
     }
 
     #[test]
-    fn remove_preserves_order() {
-        let mut q = RequestQueue::new(4);
-        for i in 0..4 {
-            q.push(pending(i, i * 64));
+    fn arrival_order_survives_interleaved_removals_across_banks() {
+        let mut q = RequestQueue::new(8, 3);
+        for i in 0..8 {
+            q.push(on_bank(i, i * 64, (i % 3) as usize));
         }
-        let removed = q.remove(1).unwrap();
-        assert_eq!(removed.request.id, RequestId::new(1));
-        let ids: Vec<u64> = q.iter().map(|p| p.request.id.raw()).collect();
-        assert_eq!(ids, vec![0, 2, 3]);
+        let removed = q.remove(key_of(&q, 4)).unwrap();
+        assert_eq!(removed.request.id, RequestId::new(4));
+        q.remove(key_of(&q, 0)).unwrap();
+        q.push(on_bank(8, 8 * 64, 1));
+        q.remove(key_of(&q, 6)).unwrap();
+        assert_eq!(ids(q.iter()), [1, 2, 3, 5, 7, 8]);
+        assert_eq!(ids(q.bank(0)), [3]);
+        assert_eq!(ids(q.bank(1)), [1, 7, 8]);
+        assert_eq!(ids(q.bank(2)), [2, 5]);
+        assert_eq!(q.front().map(|(_, p)| p.request.id.raw()), Some(1));
+        // Keys order by arrival across banks.
+        let keys: Vec<Key> = q.iter().map(|(key, _)| key).collect();
+        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]
-    fn remove_out_of_range_is_a_structured_error() {
-        let mut q = RequestQueue::new(4);
+    fn a_key_naming_no_entry_is_a_structured_error() {
+        let mut q = RequestQueue::new(4, 2);
         q.push(pending(0, 0));
-        if cfg!(debug_assertions) {
-            // Debug builds assert: an out-of-range index is a scheduler
-            // bug and should fail loudly under test.
-            let panicked =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.remove(1))).is_err();
-            assert!(panicked, "debug builds must assert on a bad index");
-        } else {
-            // Release builds degrade to a structured error so a long run
-            // stalls diagnosably instead of aborting.
-            let err = q.remove(1).unwrap_err();
-            assert!(matches!(err, SimError::QueueIndex { index: 1, len: 1 }));
-        }
-        // The queue is untouched by the failed removal.
-        assert_eq!(q.len(), 1);
+        let key = key_of(&q, 0);
+        q.remove(key).unwrap();
+        q.push(on_bank(1, 64, 1));
+        // The freed slot now holds a younger entry: the old key names
+        // nothing, and the failed removal leaves the queue untouched.
+        let err = q.remove(key).unwrap_err();
+        assert!(matches!(err, SimError::QueueIndex { index: 0, len: 1 }));
+        assert!(q.get(key).is_none());
+        assert_eq!(ids(q.iter()), [1]);
+        assert_eq!(q.occupied_banks().collect::<Vec<_>>(), [1]);
     }
 
     #[test]
-    fn tombstones_never_grow_the_ring_or_leak_capacity() {
-        // Churn: fill, remove from the middle, refill — many times over.
-        // Live indices must stay consistent, capacity must never be lost
-        // to tombstones, and the backing ring must never outgrow its
-        // initial 2× reservation (the zero-allocation guarantee).
-        let mut q = RequestQueue::new(8);
-        let reserved = q.entries.capacity();
+    fn storage_stays_bounded_under_churn() {
+        // Churn: fill, remove from the middle and the front, refill — many
+        // times over, across banks. Capacity is never lost, arrival order
+        // holds, and the slab never outgrows its reservation.
+        let mut q = RequestQueue::new(8, 4);
+        let reserved = q.slots.capacity();
         let mut next_id = 0u64;
         for _ in 0..8 {
-            q.push(pending(next_id, next_id * 64));
+            q.push(on_bank(next_id, next_id * 64, (next_id % 4) as usize));
             next_id += 1;
         }
         for round in 0..100u64 {
-            // Remove a middle entry, then a front entry, then refill.
-            let victim = (round % 6) as usize + 1;
-            let removed = q.remove(victim).unwrap();
+            let victim = q.iter().nth((round % 6) as usize + 1).unwrap().0;
+            q.remove(victim).unwrap();
             assert!(!q.is_full());
-            let front = q.remove(0).unwrap();
-            assert!(front.request.id.raw() < removed.request.id.raw() + 8);
+            let (front, _) = q.front().unwrap();
+            q.remove(front).unwrap();
             for _ in 0..2 {
-                assert!(q.push(pending(next_id, next_id * 64)));
+                let bank = (next_id * 7 % 4) as usize;
+                assert!(q.push(on_bank(next_id, next_id * 64, bank)));
                 next_id += 1;
             }
             assert!(q.is_full());
             assert_eq!(q.iter().count(), q.len());
-            // Arrival order is preserved across tombstoning/compaction.
-            let ids: Vec<u64> = q.iter().map(|p| p.request.id.raw()).collect();
-            let mut sorted = ids.clone();
+            let order = ids(q.iter());
+            let mut sorted = order.clone();
             sorted.sort_unstable();
-            assert_eq!(ids, sorted, "arrival order must survive churn");
-            assert!(q.entries.capacity() <= reserved.max(16));
+            assert_eq!(order, sorted, "arrival order must survive churn");
+            let per_bank: usize = (0..4).map(|bank| q.bank(bank).count()).sum();
+            assert_eq!(per_bank, q.len());
+            assert!(q.slots.len() <= q.capacity());
         }
-        assert_eq!(q.entries.capacity(), reserved, "ring must never grow");
+        assert_eq!(q.slots.capacity(), reserved, "the slab must never grow");
     }
 
     #[test]
-    fn addr_lookup() {
-        let mut q = RequestQueue::new(4);
-        q.push(pending(0, 0));
-        q.push(pending(1, 128));
-        assert!(q.contains_addr(PhysAddr::new(128)));
-        assert!(!q.contains_addr(PhysAddr::new(64)));
-        assert_eq!(q.position_addr(PhysAddr::new(128)), Some(1));
+    fn contains_addr_sees_only_the_target_bank() {
+        let mut q = RequestQueue::new(4, 2);
+        q.push(on_bank(0, 0, 0));
+        q.push(on_bank(1, 128, 1));
+        assert!(q.contains_addr(1, PhysAddr::new(128)));
+        assert!(!q.contains_addr(1, PhysAddr::new(64)));
+        // An address decodes to one bank, so only its bank is searched.
+        assert!(!q.contains_addr(0, PhysAddr::new(128)));
     }
 
     #[test]

@@ -848,6 +848,8 @@ fn run_loop(
         .map(|ts| ts.window_cycles());
     let mut tio = TelemetryIo::open(mem, sc)?;
     let mut out: Vec<Completion> = Vec::new();
+    // Scratch for re-admitting backoff entries; empty between landings.
+    let mut due: Vec<BackoffEntry> = Vec::new();
     loop {
         let now = mem.now().raw();
         if now >= sc.horizon {
@@ -962,13 +964,16 @@ fn run_loop(
         }
 
         // Re-admit due backoff entries, oldest op first (deterministic).
+        // The sorted entries move to `due`, and the ones still waiting go
+        // back in order: the two buffers trade places at every landing,
+        // so neither is freed or regrown.
         state
             .backoff
             .sort_unstable_by_key(|b| (b.retry_at, b.op_index));
-        let mut still_waiting = Vec::new();
-        for entry in std::mem::take(&mut state.backoff) {
+        std::mem::swap(&mut state.backoff, &mut due);
+        for entry in due.drain(..) {
             if entry.retry_at > now {
-                still_waiting.push(entry);
+                state.backoff.push(entry);
                 continue;
             }
             if mem
@@ -983,10 +988,10 @@ fn run_loop(
                 }
                 state.last_progress = state.last_progress.max(now);
             } else {
-                still_waiting.push(requeue(entry, now, sc, &mut state));
+                let waiting = requeue(entry, now, sc, &mut state);
+                state.backoff.push(waiting);
             }
         }
-        state.backoff = still_waiting;
 
         // Admit new arrivals that are due.
         if tenant_mode {
