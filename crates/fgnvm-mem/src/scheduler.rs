@@ -554,13 +554,11 @@ impl FrfcfsQos {
         FrfcfsQos::default()
     }
 
-    #[cfg(test)]
-    fn served(&self, tenant: u16) -> u64 {
-        self.served
-            .borrow()
-            .get(usize::from(tenant))
-            .copied()
-            .unwrap_or(0)
+    /// `tenant`'s place in the pick order given the `served` counters:
+    /// fewer grants first, ties to the lower tenant id.
+    fn rank(served: &[u64], tenant: u16) -> (u64, u16) {
+        let count = served.get(usize::from(tenant)).copied().unwrap_or(0);
+        (count, tenant)
     }
 
     fn grant(&self, tenant: u16) {
@@ -580,17 +578,13 @@ impl FrfcfsQos {
     /// than its oldest hit, cannot be picked, so it is never planned.
     fn qos_pick(&self, queue: &RequestQueue, banks: BankView<'_>, now: Cycle) -> Option<Pick> {
         let served = self.served.borrow();
-        let rank = |tenant: u16| {
-            let count = served.get(usize::from(tenant)).copied().unwrap_or(0);
-            (count, tenant)
-        };
         let mut best: Option<(u64, u16)> = None;
         let mut hit: Option<Pick> = None;
         let mut demand: Option<Pick> = None;
         let mut prefetch: Option<Pick> = None;
         for bank in banks.arrived(queue, now) {
             for (key, pending) in queue.bank(bank) {
-                let tenant = rank(pending.request.tenant);
+                let tenant = Self::rank(&served, pending.request.tenant);
                 match best {
                     Some(held) if tenant > held => continue,
                     Some(held) if tenant == held && older(&hit, key) => continue,
@@ -1024,7 +1018,7 @@ mod reference {
                 continue;
             };
             let tenant = pending.request.tenant;
-            let rank = (sched.served(tenant), tenant);
+            let rank = FrfcfsQos::rank(&sched.served.borrow(), tenant);
             match best_key {
                 Some(best) if rank > best => continue,
                 Some(best) if rank == best => {}

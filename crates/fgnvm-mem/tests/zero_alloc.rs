@@ -96,7 +96,11 @@ fn qos_wave(mem: &mut MemorySystem, id: &mut u64, out: &mut Vec<Completion>) {
                     row: ((*id / 16) % 8) as u32,
                     line: (*id % 16) as u32,
                 });
-                let op = if id.is_multiple_of(3) { Op::Write } else { Op::Read };
+                let op = if id.is_multiple_of(3) {
+                    Op::Write
+                } else {
+                    Op::Read
+                };
                 *id += 1;
                 enqueue(mem, op, addr, tenant, out);
             }

@@ -98,13 +98,13 @@ pub enum SimError {
     /// A checkpoint could not be decoded (wraps
     /// [`SnapshotError`](crate::snapshot::SnapshotError)).
     Snapshot(crate::snapshot::SnapshotError),
-    /// A request-queue operation named an entry index that does not exist.
+    /// A request-queue operation named an entry that is not queued.
     /// Scheduler picks are derived from the queue they are applied to, so
     /// this is unreachable through the public API; it is reported as a
     /// structured error (rather than a panic) so a scheduler bug degrades
     /// into a diagnosable stall instead of aborting a long run.
     QueueIndex {
-        /// The offending entry index.
+        /// The storage slot the operation named.
         index: usize,
         /// Live entries in the queue at the time of the call.
         len: usize,
@@ -141,7 +141,10 @@ impl fmt::Display for SimError {
             ),
             SimError::Snapshot(e) => write!(f, "checkpoint error: {e}"),
             SimError::QueueIndex { index, len } => {
-                write!(f, "queue index {index} out of range ({len} entries queued)")
+                write!(
+                    f,
+                    "queue slot {index} holds no such entry ({len} entries queued)"
+                )
             }
         }
     }
