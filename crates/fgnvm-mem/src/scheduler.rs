@@ -1102,8 +1102,8 @@ mod pick_props {
         }
     }
 
-    /// Pushes and removes at random, so arrival positions and sequence
-    /// numbers diverge, ending with at least one push when there is room.
+    /// Pushes, removes and re-pushes removed entries at random, so
+    /// arrival positions and sequence numbers diverge.
     fn fill(
         rng: &mut StdRng,
         geom: &Geometry,
@@ -1116,7 +1116,12 @@ mod pick_props {
             if !queue.is_empty() && rng.random_bool(0.35) {
                 let victim = rng.random_range(0..queue.len());
                 let key = queue.iter().nth(victim).expect("victim is queued").0;
-                queue.remove(key).expect("key names an entry");
+                let removed = queue.remove(key).expect("key names an entry");
+                if rng.random_bool(0.3) {
+                    // Like a verify-failed write: back to the tail, younger
+                    // than everything queued.
+                    queue.push(removed);
+                }
                 continue;
             }
             let op = random_op(rng, usual);
